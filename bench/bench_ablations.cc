@@ -150,7 +150,7 @@ void AblationColumnOrganization() {
   ColumnStore columns(db, &disk);
   BTreeColumns btrees(db, &disk);
   DiskAdSearcher runs_ad(columns);
-  BTreeAdSearcher btree_ad(btrees);
+  DiskAdSearcher btree_ad(btrees);
   auto queries = bench::SampleQueries(db, bench::kQueriesPerConfig, 76);
 
   eval::TablePrinter table({"organization", "pages/query", "io time (s)",

@@ -91,10 +91,11 @@ class AdSearcher {
   /// Warm-started KNMatchAD: `seeds` (candidate answer pids from a
   /// nearby cached query) let the search skip the kernel's threshold
   /// discovery via the seeded range-count path (see core/ad_warm.h).
-  /// Returns nullopt when the seeded path declines — degenerate seeds,
-  /// a tripped scan budget, or a difference tie that could expose cold
-  /// pop order — in which case the caller must run KnMatch cold. A
-  /// returned result is bit-identical to the cold one.
+  /// Returns nullopt when the seeded path declines — invalid
+  /// parameters, degenerate seeds, a tripped scan budget, or a
+  /// difference tie that could expose cold pop order — in which case
+  /// the caller must run KnMatch cold. A returned result is
+  /// bit-identical to the cold one.
   std::optional<KnMatchResult> KnMatchSeeded(
       std::span<const Value> query, size_t n, size_t k,
       std::span<const Value> weights, std::span<const PointId> seeds,
@@ -125,6 +126,20 @@ class AdSearcher {
   }
 
  private:
+  // The shared bodies of the two entry-point pairs; R is KnMatchResult
+  // (k-n-match, the n0 == n1 case) or FrequentKnMatchResult.
+  template <typename R>
+  Result<R> Query(std::span<const Value> query, size_t n0, size_t n1,
+                  size_t k, std::span<const Value> weights,
+                  internal::AdScratch* scratch, QueryContext* ctx,
+                  const ApproxPolicy& approx) const;
+  template <typename R>
+  std::optional<R> QuerySeeded(std::span<const Value> query, size_t n0,
+                               size_t n1, size_t k,
+                               std::span<const Value> weights,
+                               std::span<const PointId> seeds,
+                               internal::AdScratch* scratch) const;
+
   const Dataset& db_;
   SortedColumns columns_;
   /// Engaged by EnablePackedColumns(); mutable state is confined to

@@ -1,15 +1,10 @@
 #include "knmatch/diskalgo/btree_ad.h"
 
+#include <cassert>
 #include <utility>
 #include <vector>
 
-#include "knmatch/core/ad_engine.h"
-#include "knmatch/core/nmatch.h"
-#include "knmatch/core/query_context.h"
-#include "knmatch/core/nmatch_naive.h"
 #include "knmatch/core/sorted_columns.h"
-#include "knmatch/obs/catalog.h"
-#include "knmatch/obs/trace.h"
 
 namespace knmatch {
 
@@ -38,171 +33,6 @@ Status BTreeColumns::InsertPoint(PointId pid,
     if (!s.ok()) return s;
   }
   return Status::OK();
-}
-
-namespace {
-
-/// AD-engine accessor over per-dimension B+-tree columns. Each cursor
-/// direction owns a tree iterator and an I/O stream; the engine's
-/// strictly sequential per-slot access pattern (one step outward per
-/// refill) maps to Prev()/Next() leaf walks.
-///
-/// `Columns` is BTreeColumns (live trees) or SnapshotColumns (frozen
-/// epoch of the ingest index) — both expose dims()/column_size() and a
-/// tree(dim) whose seeks and iterators share one interface.
-template <typename Columns>
-class BTreeColumnAccessor {
- public:
-  BTreeColumnAccessor(const Columns& columns,
-                      std::span<const Value> query)
-      : columns_(columns),
-        query_(query),
-        cursors_(2 * columns.dims()) {}
-
-  size_t dims() const { return columns_.dims(); }
-  size_t column_size() const { return columns_.column_size(); }
-  size_t pid_bound() const {
-    if constexpr (requires { columns_.pid_bound(); }) {
-      return columns_.pid_bound();
-    } else {
-      return columns_.column_size();
-    }
-  }
-
-  ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t slot) {
-    Cursor& cursor = cursors_[slot];
-    if (!cursor.started) {
-      cursor.started = true;
-      cursor.stream = columns_.tree(dim).OpenStream();
-      cursor.it = slot % 2 == 0
-                      ? columns_.tree(dim).SeekBefore(cursor.stream,
-                                                      query_[dim])
-                      : columns_.tree(dim).SeekLowerBound(cursor.stream,
-                                                          query_[dim]);
-    } else {
-      if (slot % 2 == 0) {
-        cursor.it.Prev();
-      } else {
-        cursor.it.Next();
-      }
-    }
-    if (!cursor.it.status().ok()) {
-      status_ = cursor.it.status();
-      return ColumnEntry{};  // discarded once the engine sees status()
-    }
-    assert(cursor.it.Valid() && "engine asked past the column end");
-    (void)idx;
-    return cursor.it.Get();
-  }
-
-  size_t LocateLowerBound(size_t dim, Value v) {
-    // A real root-to-leaf index traversal, charged to a per-query
-    // locate stream (unlike the ColumnStore's free in-memory
-    // directory).
-    if (locate_stream_ == kNoStream) {
-      locate_stream_ = columns_.tree(dim).OpenStream();
-    }
-    Result<size_t> rank = columns_.tree(dim).RankOf(locate_stream_, v);
-    if (!rank.ok()) {
-      status_ = rank.status();
-      return 0;
-    }
-    return rank.value();
-  }
-
-  /// First traversal failure, latched; the engine stops once non-OK.
-  const Status& status() const { return status_; }
-
- private:
-  static constexpr size_t kNoStream = static_cast<size_t>(-1);
-  struct Cursor {
-    bool started = false;
-    size_t stream = 0;
-    BPlusTree::Iterator it;
-  };
-  const Columns& columns_;
-  std::span<const Value> query_;
-  std::vector<Cursor> cursors_;
-  size_t locate_stream_ = kNoStream;
-  Status status_;
-};
-
-/// Shared implementation of the two public searchers over either
-/// columns type.
-template <typename Columns>
-Result<KnMatchResult> KnMatchOver(const Columns& columns,
-                                  std::span<const Value> query, size_t n,
-                                  size_t k, QueryContext* ctx) {
-  Status s = ValidateMatchParams(columns.column_size(), columns.dims(),
-                                 query.size(), n, n, k);
-  if (!s.ok()) return s;
-
-  if (ctx != nullptr) ctx->ArmPages(columns.tree(0).disk());
-  BTreeColumnAccessor<Columns> acc(columns, query);
-  internal::AdOutput out =
-      internal::RunAdSearch(acc, query, n, n, k, {}, nullptr, ctx);
-  obs::Cat().attrs_ad_btree->Add(out.attributes_retrieved);
-  obs::Cat().pops_ad_btree->Add(out.heap_pops);
-  if (ctx != nullptr && ctx->tripped()) return ctx->trip_status();
-  if (!acc.status().ok()) return acc.status();
-
-  KnMatchResult result;
-  result.matches = std::move(out.per_n_sets[0]);
-  result.attributes_retrieved = out.attributes_retrieved;
-  return result;
-}
-
-template <typename Columns>
-Result<FrequentKnMatchResult> FrequentKnMatchOver(
-    const Columns& columns, std::span<const Value> query, size_t n0,
-    size_t n1, size_t k, QueryContext* ctx) {
-  Status s = ValidateMatchParams(columns.column_size(), columns.dims(),
-                                 query.size(), n0, n1, k);
-  if (!s.ok()) return s;
-
-  if (ctx != nullptr) ctx->ArmPages(columns.tree(0).disk());
-  BTreeColumnAccessor<Columns> acc(columns, query);
-  internal::AdOutput out =
-      internal::RunAdSearch(acc, query, n0, n1, k, {}, nullptr, ctx);
-  obs::Cat().attrs_ad_btree->Add(out.attributes_retrieved);
-  obs::Cat().pops_ad_btree->Add(out.heap_pops);
-  if (ctx != nullptr && ctx->tripped()) return ctx->trip_status();
-  if (!acc.status().ok()) return acc.status();
-
-  FrequentKnMatchResult result;
-  result.per_n_sets = std::move(out.per_n_sets);
-  result.attributes_retrieved = out.attributes_retrieved;
-  {
-    obs::TraceSpan span(obs::Phase::kRank);
-    RankByFrequency(k, &result);
-  }
-  return result;
-}
-
-}  // namespace
-
-Result<KnMatchResult> BTreeAdSearcher::KnMatch(std::span<const Value> query,
-                                               size_t n, size_t k,
-                                               QueryContext* ctx) const {
-  return KnMatchOver(columns_, query, n, k, ctx);
-}
-
-Result<FrequentKnMatchResult> BTreeAdSearcher::FrequentKnMatch(
-    std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    QueryContext* ctx) const {
-  return FrequentKnMatchOver(columns_, query, n0, n1, k, ctx);
-}
-
-Result<KnMatchResult> SnapshotAdSearcher::KnMatch(
-    std::span<const Value> query, size_t n, size_t k,
-    QueryContext* ctx) const {
-  return KnMatchOver(columns_, query, n, k, ctx);
-}
-
-Result<FrequentKnMatchResult> SnapshotAdSearcher::FrequentKnMatch(
-    std::span<const Value> query, size_t n0, size_t n1, size_t k,
-    QueryContext* ctx) const {
-  return FrequentKnMatchOver(columns_, query, n0, n1, k, ctx);
 }
 
 }  // namespace knmatch

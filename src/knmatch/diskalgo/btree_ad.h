@@ -8,13 +8,13 @@
 
 #include "knmatch/common/dataset.h"
 #include "knmatch/common/status.h"
-#include "knmatch/core/match_types.h"
 #include "knmatch/storage/bplus_tree.h"
 
 namespace knmatch {
 
-class QueryContext;
-
+/// The B+-tree column organizations DiskAdSearcher (disk_ad.h) runs
+/// over, beside the sorted-run ColumnStore and PackedColumnStore.
+///
 /// One B+-tree per dimension — the indexed disk organization a
 /// production deployment would maintain instead of rebuilding sorted
 /// runs (ColumnStore) offline: inserts keep the columns current, and
@@ -48,7 +48,8 @@ class BTreeColumns {
 
 /// A frozen set of per-dimension B+-tree snapshots (one epoch of the
 /// live-ingest index) presented through the same columns interface as
-/// BTreeColumns, so the AD accessor can drive either. Cheap to copy.
+/// BTreeColumns, so DiskAdSearcher's tree accessor drives either. Cheap
+/// to copy.
 ///
 /// Unlike a bulk-loaded store, the live pid space is sparse (erases
 /// leave holes, inserts extend it), so the cardinality no longer bounds
@@ -70,59 +71,6 @@ class SnapshotColumns {
  private:
   std::vector<BPlusTree::Snapshot> trees_;
   size_t pid_bound_ = 0;
-};
-
-/// The AD algorithm driven by B+-tree cursors: identical answers and
-/// attribute counts to the ColumnStore-based DiskAdSearcher, with index
-/// traversals charged per query. The ablation bench compares the two
-/// disk organizations.
-class BTreeAdSearcher {
- public:
-  explicit BTreeAdSearcher(const BTreeColumns& columns)
-      : columns_(columns) {}
-
-  /// B+-tree-backed KNMatchAD. Optional `ctx` governs the query
-  /// (deadline, cancellation, budgets); on a trip the search unwinds
-  /// and returns the context's typed trip status, with the partial
-  /// result in ctx->trip().
-  Result<KnMatchResult> KnMatch(std::span<const Value> query, size_t n,
-                                size_t k, QueryContext* ctx = nullptr) const;
-
-  /// B+-tree-backed FKNMatchAD; `ctx` as above.
-  Result<FrequentKnMatchResult> FrequentKnMatch(std::span<const Value> query,
-                                                size_t n0, size_t n1,
-                                                size_t k,
-                                                QueryContext* ctx =
-                                                    nullptr) const;
-
- private:
-  const BTreeColumns& columns_;
-};
-
-/// The AD algorithm over one frozen epoch of the live-ingest index:
-/// identical semantics to BTreeAdSearcher, but every cursor traverses
-/// immutable snapshots, so queries run concurrently with the single
-/// writer and answer exactly as a quiesced engine holding the same
-/// committed state would. Safe to use from any thread (each call opens
-/// its own I/O streams on the thread-safe simulator).
-class SnapshotAdSearcher {
- public:
-  explicit SnapshotAdSearcher(const SnapshotColumns& columns)
-      : columns_(columns) {}
-
-  /// Snapshot-backed KNMatchAD; `ctx` as on BTreeAdSearcher::KnMatch.
-  Result<KnMatchResult> KnMatch(std::span<const Value> query, size_t n,
-                                size_t k, QueryContext* ctx = nullptr) const;
-
-  /// Snapshot-backed FKNMatchAD; `ctx` as above.
-  Result<FrequentKnMatchResult> FrequentKnMatch(std::span<const Value> query,
-                                                size_t n0, size_t n1,
-                                                size_t k,
-                                                QueryContext* ctx =
-                                                    nullptr) const;
-
- private:
-  const SnapshotColumns& columns_;
 };
 
 }  // namespace knmatch

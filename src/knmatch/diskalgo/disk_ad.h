@@ -5,25 +5,43 @@
 
 #include "knmatch/common/status.h"
 #include "knmatch/core/match_types.h"
+#include "knmatch/diskalgo/btree_ad.h"
 #include "knmatch/storage/column_store.h"
+#include "knmatch/storage/packed_column_store.h"
 
 namespace knmatch {
 
 class QueryContext;
 
 /// Disk-based AD algorithm (Section 4.1): the FKNMatchAD control loop
-/// over the paged, sorted column store. Every cursor direction gets its
-/// own I/O stream, so consecutive reads within a direction are
-/// page-buffered and forward runs are sequential — the property the
-/// paper highlights ("FKNMatchAD accesses the pages sequentially when
-/// searching forwards").
+/// over a disk column organization. One template serves all four,
+/// explicitly instantiated in disk_ad.cc:
+///  - ColumnStore: sorted runs on pages. Every cursor direction gets its
+///    own I/O stream, so consecutive reads within a direction are
+///    page-buffered and forward runs are sequential — the property the
+///    paper highlights ("FKNMatchAD accesses the pages sequentially
+///    when searching forwards").
+///  - PackedColumnStore: the same runs bit-packed; page counts shrink by
+///    the compression ratio.
+///  - BTreeColumns: one B+-tree per dimension; lower-bound seeks cost a
+///    charged root-to-leaf traversal.
+///  - SnapshotColumns: one frozen epoch of the live-ingest index. Its
+///    cursors traverse immutable snapshots, so queries run concurrently
+///    with the single writer.
+/// Answers and attribute counts are bit-identical across the four, and
+/// to the in-memory AdSearcher. Page-access counts and modelled I/O
+/// time are read off the shared DiskSimulator by the caller (reset its
+/// counters around a query). Concurrent queries are safe while the
+/// columns do not change: each call opens its own I/O streams on the
+/// thread-safe simulator.
 ///
-/// Page-access counts and modelled I/O time are read off the shared
-/// DiskSimulator by the caller (reset its counters around a query).
+/// Class template argument deduction picks the organization:
+/// `DiskAdSearcher ad(columns);`.
+template <typename Columns>
 class DiskAdSearcher {
  public:
-  /// Searches `columns`; the store must outlive the searcher.
-  explicit DiskAdSearcher(const ColumnStore& columns) : columns_(columns) {}
+  /// Searches `columns`; they must outlive the searcher.
+  explicit DiskAdSearcher(const Columns& columns) : columns_(columns) {}
 
   /// Disk-based KNMatchAD. Optional `ctx` governs the query (deadline,
   /// cancellation, attribute/page/scratch budgets); on a trip the
@@ -40,7 +58,7 @@ class DiskAdSearcher {
                                                     nullptr) const;
 
  private:
-  const ColumnStore& columns_;
+  const Columns& columns_;
 };
 
 }  // namespace knmatch

@@ -377,7 +377,7 @@ Result<KnMatchResult> SimilarityEngine::LiveKnMatch(
   }
   const auto snap = live_->PinSnapshot();
   SnapshotColumns columns(snap->trees, snap->pid_bound);
-  auto r = SnapshotAdSearcher(columns).KnMatch(query, n, k, ctx);
+  auto r = DiskAdSearcher(columns).KnMatch(query, n, k, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;
 }
@@ -390,7 +390,7 @@ Result<FrequentKnMatchResult> SimilarityEngine::LiveFrequentKnMatch(
   }
   const auto snap = live_->PinSnapshot();
   SnapshotColumns columns(snap->trees, snap->pid_bound);
-  auto r = SnapshotAdSearcher(columns).FrequentKnMatch(query, n0, n1, k, ctx);
+  auto r = DiskAdSearcher(columns).FrequentKnMatch(query, n0, n1, k, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;
 }

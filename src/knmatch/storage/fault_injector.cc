@@ -21,6 +21,7 @@ double FaultInjector::HashToUnit(uint64_t seed, uint64_t a, uint64_t b) {
 }
 
 FaultInjector::Outcome FaultInjector::OnReadAttempt(uint64_t page) {
+  std::scoped_lock lock(mu_);
   const uint64_t attempt = attempts_[page]++;
 
   if (scripted_corrupt_.contains(page)) {
@@ -58,25 +59,30 @@ FaultInjector::Outcome FaultInjector::OnReadAttempt(uint64_t page) {
 
 void FaultInjector::FailNextReads(uint64_t page, uint32_t times) {
   if (times == 0) return;
+  std::scoped_lock lock(mu_);
   scripted_failures_[page] += times;
 }
 
 void FaultInjector::CorruptPage(uint64_t page) {
+  std::scoped_lock lock(mu_);
   scripted_corrupt_.insert(page);
   healed_.erase(page);
 }
 
 void FaultInjector::HealPage(uint64_t page) {
+  std::scoped_lock lock(mu_);
   scripted_corrupt_.erase(page);
   scripted_failures_.erase(page);
   healed_.insert(page);
 }
 
 void FaultInjector::ScheduleCrash(CrashPoint point, uint32_t nth) {
+  std::scoped_lock lock(mu_);
   crash_schedule_[static_cast<size_t>(point)] = nth;
 }
 
 bool FaultInjector::ShouldCrash(CrashPoint point) {
+  std::scoped_lock lock(mu_);
   uint32_t& remaining = crash_schedule_[static_cast<size_t>(point)];
   if (remaining == 0) return false;
   if (--remaining > 0) return false;
@@ -85,6 +91,7 @@ bool FaultInjector::ShouldCrash(CrashPoint point) {
 }
 
 bool FaultInjector::HasScheduledCrash() const {
+  std::scoped_lock lock(mu_);
   for (const uint32_t n : crash_schedule_) {
     if (n != 0) return true;
   }
@@ -92,6 +99,7 @@ bool FaultInjector::HasScheduledCrash() const {
 }
 
 void FaultInjector::Clear() {
+  std::scoped_lock lock(mu_);
   scripted_failures_.clear();
   scripted_corrupt_.clear();
   healed_.clear();

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -24,7 +25,11 @@ namespace knmatch {
 ///    number); corruption is a sticky per-page property (a damaged
 ///    sector stays damaged), drawn once from (seed, page).
 ///
-/// Not thread-safe, like the DiskSimulator that owns the read path.
+/// Internally synchronized: one injector may be shared by several
+/// DiskSimulators whose reads run concurrently — one fault domain under
+/// a sharded router's fan-out models a correlated outage. Every draw is
+/// a pure function of (seed, page, per-page attempt number), so each
+/// page sees the same fault sequence however threads interleave.
 class FaultInjector {
  public:
   struct Config {
@@ -62,7 +67,10 @@ class FaultInjector {
   FaultInjector() = default;
   explicit FaultInjector(const Config& config) : config_(config) {}
 
-  const Config& config() const { return config_; }
+  Config config() const {
+    std::scoped_lock lock(mu_);
+    return config_;
+  }
 
   /// Decides the outcome of one physical read attempt of `page`.
   /// Scripted faults take precedence over randomized ones; corruption
@@ -93,7 +101,10 @@ class FaultInjector {
   /// True when any crash schedule is still armed.
   bool HasScheduledCrash() const;
 
-  uint64_t crashes_delivered() const { return crashes_delivered_; }
+  uint64_t crashes_delivered() const {
+    std::scoped_lock lock(mu_);
+    return crashes_delivered_;
+  }
 
   /// Drops every scripted fault, every healed-page mask, every crash
   /// schedule, and both randomized rates: the disk is healthy from now
@@ -102,14 +113,20 @@ class FaultInjector {
 
   /// Totals of injected faults, for diagnostics and tests.
   uint64_t transient_faults_injected() const {
+    std::scoped_lock lock(mu_);
     return transient_faults_injected_;
   }
-  uint64_t corruptions_injected() const { return corruptions_injected_; }
+  uint64_t corruptions_injected() const {
+    std::scoped_lock lock(mu_);
+    return corruptions_injected_;
+  }
 
  private:
   /// Deterministic per-draw uniform in [0, 1).
   static double HashToUnit(uint64_t seed, uint64_t a, uint64_t b);
 
+  /// Guards every field below.
+  mutable std::mutex mu_;
   Config config_;
   std::unordered_map<uint64_t, uint32_t> scripted_failures_;
   std::unordered_set<uint64_t> scripted_corrupt_;

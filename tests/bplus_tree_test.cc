@@ -8,6 +8,7 @@
 #include "knmatch/core/nmatch_naive.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/diskalgo/btree_ad.h"
+#include "knmatch/diskalgo/disk_ad.h"
 #include "knmatch/core/ad_algorithm.h"
 
 namespace knmatch {
@@ -236,7 +237,7 @@ TEST(BTreeColumnsTest, AdOverBTreesMatchesMemoryAdExactly) {
   Dataset db = datagen::MakeUniform(3000, 6, 12);
   DiskSimulator disk;
   BTreeColumns columns(db, &disk);
-  BTreeAdSearcher btree_ad(columns);
+  DiskAdSearcher btree_ad(columns);
   AdSearcher mem(db);
 
   Rng rng(13);
@@ -268,7 +269,7 @@ TEST(BTreeColumnsTest, InsertPointThenSearchFindsIt) {
   columns.InsertPoint(500, coords);
   EXPECT_EQ(columns.column_size(), 501u);
 
-  BTreeAdSearcher searcher(columns);
+  DiskAdSearcher searcher(columns);
   auto r = searcher.KnMatch(coords, 4, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().matches[0].pid, 500u);

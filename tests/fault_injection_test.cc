@@ -1,6 +1,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +94,60 @@ TEST(FaultInjectorTest, ScriptedFailuresCountDownThenSucceed) {
   EXPECT_EQ(injector.OnReadAttempt(4), FaultInjector::Outcome::kOk);
   EXPECT_EQ(injector.OnReadAttempt(5), FaultInjector::Outcome::kOk);
   EXPECT_EQ(injector.transient_faults_injected(), 2u);
+}
+
+// One injector shared by several disks whose reads run concurrently
+// (the sharded router's correlated-outage setup). Each page's outcome
+// multiset depends only on how many attempts it saw, so the concurrent
+// totals must equal a single-threaded replay of the same attempts.
+TEST(FaultInjectorTest, SharedAcrossThreadsMatchesSequentialReplay) {
+  const FaultInjector::Config config{.seed = 23,
+                                     .transient_error_rate = 0.4,
+                                     .corruption_rate = 0.02};
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPages = 4096;
+  constexpr int kRounds = 3;
+  FaultInjector shared(config);
+  FaultInjector replay(config);
+  for (uint64_t page = 0; page < kPages; page += 64) {
+    shared.FailNextReads(page, 2);
+    replay.FailNextReads(page, 2);
+  }
+
+  std::atomic<uint64_t> transient{0};
+  std::atomic<uint64_t> corrupt{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Staggered page orders, so threads insert fresh pages (and grow
+      // the per-page attempt table) at the same time.
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint64_t i = 0; i < kPages; ++i) {
+          const uint64_t page = (i * (2 * t + 1) + round) % kPages;
+          switch (shared.OnReadAttempt(page)) {
+            case FaultInjector::Outcome::kTransientError:
+              transient.fetch_add(1, std::memory_order_relaxed);
+              break;
+            case FaultInjector::Outcome::kCorruption:
+              corrupt.fetch_add(1, std::memory_order_relaxed);
+              break;
+            case FaultInjector::Outcome::kOk:
+              break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (uint64_t page = 0; page < kPages; ++page) {
+    for (int a = 0; a < kThreads * kRounds; ++a) replay.OnReadAttempt(page);
+  }
+  EXPECT_EQ(shared.transient_faults_injected(), transient.load());
+  EXPECT_EQ(shared.corruptions_injected(), corrupt.load());
+  EXPECT_EQ(shared.transient_faults_injected(),
+            replay.transient_faults_injected());
+  EXPECT_EQ(shared.corruptions_injected(), replay.corruptions_injected());
 }
 
 TEST(FaultInjectorTest, ScriptedCorruptionIsStickyUntilHealed) {

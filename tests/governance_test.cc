@@ -49,7 +49,7 @@ struct BigRig {
          {DiskMethod::kScan, DiskMethod::kAd, DiskMethod::kVaFile}) {
       (void)engine.DiskFrequentKnMatch(query, 1, 2, 5, m);
     }
-    (void)BTreeAdSearcher(*btree_columns).FrequentKnMatch(query, 1, 2, 5);
+    (void)DiskAdSearcher(*btree_columns).FrequentKnMatch(query, 1, 2, 5);
   }
 };
 
@@ -119,7 +119,7 @@ TEST(GovernanceDeadlineTest, VaFileTripsWithinTenMilliseconds) {
 
 TEST(GovernanceDeadlineTest, BTreeAdTripsWithinTenMilliseconds) {
   BigRig& rig = Rig();
-  BTreeAdSearcher searcher(*rig.btree_columns);
+  DiskAdSearcher searcher(*rig.btree_columns);
   QueryContext ctx;
   ctx.set_deadline_in_ms(1.0);
   const auto start = std::chrono::steady_clock::now();
@@ -501,10 +501,10 @@ TEST(GovernanceSoakTest, TwoThousandRandomlyGovernedQueriesStayExact) {
   SimilarityEngine reference(datagen::MakeUniform(kCardinality, kDims, 71));
   DiskSimulator btree_disk{DiskConfig()};
   BTreeColumns btree_columns(engine.dataset(), &btree_disk);
-  BTreeAdSearcher btree(btree_columns);
+  DiskAdSearcher btree(btree_columns);
   DiskSimulator btree_ref_disk{DiskConfig()};
   BTreeColumns btree_ref_columns(reference.dataset(), &btree_ref_disk);
-  BTreeAdSearcher btree_ref(btree_ref_columns);
+  DiskAdSearcher btree_ref(btree_ref_columns);
 
   std::mt19937 rng(2026);
   std::uniform_real_distribution<double> coord(0.0, 1.0);

@@ -16,6 +16,7 @@
 #include "knmatch/common/random.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/diskalgo/btree_ad.h"
+#include "knmatch/diskalgo/disk_ad.h"
 #include "knmatch/engine.h"
 #include "knmatch/obs/catalog.h"
 #include "knmatch/storage/fault_injector.h"
@@ -101,16 +102,16 @@ void ExpectSameAnswers(const SnapshotColumns& got,
   const size_t dims = got.dims();
   const size_t n = dims >= 2 ? dims - 1 : 1;  // n <= d required
   for (const auto& q : queries) {
-    auto a = SnapshotAdSearcher(got).KnMatch(q, n, k);
-    auto b = SnapshotAdSearcher(want).KnMatch(q, n, k);
+    auto a = DiskAdSearcher(got).KnMatch(q, n, k);
+    auto b = DiskAdSearcher(want).KnMatch(q, n, k);
     ASSERT_TRUE(StatusIs(a, StatusCode::kOk));
     ASSERT_TRUE(StatusIs(b, StatusCode::kOk));
     EXPECT_EQ(a.value().matches, b.value().matches);
     EXPECT_EQ(a.value().attributes_retrieved,
               b.value().attributes_retrieved);
 
-    auto fa = SnapshotAdSearcher(got).FrequentKnMatch(q, 1, dims, k);
-    auto fb = SnapshotAdSearcher(want).FrequentKnMatch(q, 1, dims, k);
+    auto fa = DiskAdSearcher(got).FrequentKnMatch(q, 1, dims, k);
+    auto fb = DiskAdSearcher(want).FrequentKnMatch(q, 1, dims, k);
     ASSERT_TRUE(StatusIs(fa, StatusCode::kOk));
     ASSERT_TRUE(StatusIs(fb, StatusCode::kOk));
     EXPECT_EQ(fa.value().matches, fb.value().matches);
@@ -164,7 +165,7 @@ TEST(LiveColumnIndexTest, PinnedSnapshotIsImmuneToLaterWrites) {
   std::vector<std::vector<Neighbor>> answers;
   for (const auto& q : queries) {
     answers.push_back(
-        SnapshotAdSearcher(before).KnMatch(q, 2, 5).value().matches);
+        DiskAdSearcher(before).KnMatch(q, 2, 5).value().matches);
   }
 
   Rng rng(13);
@@ -178,7 +179,7 @@ TEST(LiveColumnIndexTest, PinnedSnapshotIsImmuneToLaterWrites) {
   SnapshotColumns after(pinned->trees, pinned->pid_bound);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(
-        SnapshotAdSearcher(after).KnMatch(queries[i], 2, 5).value().matches,
+        DiskAdSearcher(after).KnMatch(queries[i], 2, 5).value().matches,
         answers[i]);
   }
 }
@@ -630,11 +631,11 @@ TEST(EngineIngestTest, LifecycleIngestQueryMaterialize) {
   SnapshotColumns want = mirror.Freeze();
   for (const auto& q : TestQueries(3, 4, 73)) {
     auto got = engine.LiveKnMatch(q, 3, 5);
-    auto ref = SnapshotAdSearcher(want).KnMatch(q, 3, 5);
+    auto ref = DiskAdSearcher(want).KnMatch(q, 3, 5);
     ASSERT_TRUE(StatusIs(got, StatusCode::kOk));
     EXPECT_EQ(got.value().matches, ref.value().matches);
     auto fgot = engine.LiveFrequentKnMatch(q, 2, 3, 5);
-    auto fref = SnapshotAdSearcher(want).FrequentKnMatch(q, 2, 3, 5);
+    auto fref = DiskAdSearcher(want).FrequentKnMatch(q, 2, 3, 5);
     ASSERT_TRUE(StatusIs(fgot, StatusCode::kOk));
     EXPECT_EQ(fgot.value().matches, fref.value().matches);
   }
@@ -764,7 +765,7 @@ TEST(IngestSoakTest, ConcurrentReadersMatchQuiescedMirrors) {
         const auto snap = live.PinSnapshot();
         SnapshotColumns columns(snap->trees, snap->pid_bound);
         const size_t qi = iteration++ % queries.size();
-        auto result = SnapshotAdSearcher(columns).KnMatch(queries[qi], kN, kK);
+        auto result = DiskAdSearcher(columns).KnMatch(queries[qi], kN, kK);
         ASSERT_TRUE(StatusIs(result, StatusCode::kOk));
         if (samples[r].size() < 64) {
           samples[r].push_back(Sample{snap->epoch, qi,
@@ -843,7 +844,7 @@ TEST(IngestSoakTest, ConcurrentReadersMatchQuiescedMirrors) {
       mirror = std::make_unique<Mirror>(rows, kDims);
       mirror_epoch = sample.epoch;
     }
-    auto want = SnapshotAdSearcher(mirror->Freeze())
+    auto want = DiskAdSearcher(mirror->Freeze())
                     .KnMatch(queries[sample.query], kN, kK);
     ASSERT_TRUE(StatusIs(want, StatusCode::kOk));
     EXPECT_EQ(sample.matches, want.value().matches)

@@ -12,10 +12,12 @@
 
 #include "knmatch/core/ad_algorithm.h"
 #include "knmatch/datagen/generators.h"
+#include "knmatch/diskalgo/disk_ad.h"
 #include "knmatch/exec/thread_pool.h"
 #include "knmatch/obs/catalog.h"
 #include "knmatch/obs/exposition.h"
 #include "knmatch/obs/metrics.h"
+#include "knmatch/storage/ingest.h"
 
 namespace knmatch::obs {
 namespace {
@@ -298,7 +300,38 @@ TEST(ObsEndToEndTest, AttributesMetricMatchesAdAnswerStats) {
             r.value().attributes_retrieved);
   EXPECT_EQ(Cat().queries_knmatch->Value(), 1u);
   EXPECT_EQ(Cat().latency_knmatch->Snapshot().count, 1u);
-  EXPECT_GT(Cat().pops_ad_memory->Value(), 0u);
+  const uint64_t pops = Cat().pops_ad_memory->Value();
+  EXPECT_GT(pops, 0u);
+
+  // Every disk organization pops exactly like the memory kernel. The
+  // sorted-run stores feed the disk AD counters, the tree organizations
+  // the B+-tree ones, and neither touches the other's.
+  DiskSimulator disk;
+  const ColumnStore flat(db, &disk);
+  const PackedColumnStore packed(db, &disk);
+  const BTreeColumns btree(db, &disk);
+  const LiveColumnIndex live(db, &disk);
+  const auto pinned = live.PinSnapshot();
+  const SnapshotColumns snapshot(pinned->trees, pinned->pid_bound);
+  const auto expect_cost = [&](const auto& columns, Counter* attrs,
+                               Counter* pops_counter, Counter* other) {
+    MetricsRegistry::Global().Reset();
+    auto d = DiskAdSearcher(columns).KnMatch(
+        std::vector<Value>(query.begin(), query.end()), 4, 5);
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(d.value().attributes_retrieved, r.value().attributes_retrieved);
+    EXPECT_EQ(attrs->Value(), d.value().attributes_retrieved);
+    EXPECT_EQ(pops_counter->Value(), pops);
+    EXPECT_EQ(other->Value(), 0u);
+  };
+  expect_cost(flat, Cat().attrs_ad_disk, Cat().pops_ad_disk,
+              Cat().attrs_ad_btree);
+  expect_cost(packed, Cat().attrs_ad_disk, Cat().pops_ad_disk,
+              Cat().attrs_ad_btree);
+  expect_cost(btree, Cat().attrs_ad_btree, Cat().pops_ad_btree,
+              Cat().attrs_ad_disk);
+  expect_cost(snapshot, Cat().attrs_ad_btree, Cat().pops_ad_btree,
+              Cat().attrs_ad_disk);
 }
 
 #endif  // KNMATCH_OBS_ENABLED

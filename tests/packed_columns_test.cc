@@ -1,14 +1,16 @@
 // Differential soak for the bit-packed compressed columns: the packed
 // representations must be invisible to the algorithm. Every accessor
 // pairing — in-memory flat vs packed (through internal::RunAdSearch, so
-// pop counts compare too), disk ColumnStore vs PackedColumnStore, and
-// the B+-tree organization against both — must produce bit-identical
-// answer sets, the same pop counts and the same attributes_retrieved
-// across randomized query soaks. Also pins the codec itself (entry
-// round trip, LowerBound agreement, compression actually shrinking).
+// pop counts compare too), and every DiskAdSearcher instantiation
+// (ColumnStore, PackedColumnStore, B+-tree columns, live snapshot) —
+// must produce bit-identical answer sets, the same pop counts and the
+// same attributes_retrieved across randomized query soaks. Also pins
+// the codec itself (entry round trip, LowerBound agreement, compression
+// actually shrinking).
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,14 +19,15 @@
 #include "knmatch/core/ad_algorithm.h"
 #include "knmatch/core/ad_engine.h"
 #include "knmatch/core/packed_columns.h"
+#include "knmatch/core/query_context.h"
 #include "knmatch/core/sorted_columns.h"
 #include "knmatch/datagen/generators.h"
 #include "knmatch/diskalgo/btree_ad.h"
 #include "knmatch/diskalgo/disk_ad.h"
-#include "knmatch/diskalgo/packed_disk_ad.h"
 #include "knmatch/engine.h"
 #include "knmatch/eval/experiment.h"
 #include "knmatch/storage/column_store.h"
+#include "knmatch/storage/ingest.h"
 #include "knmatch/storage/packed_column_store.h"
 
 namespace knmatch {
@@ -157,19 +160,24 @@ TEST(PackedDifferentialTest, EngineFacadeSoakIsBitIdentical) {
 }
 
 // Disk organizations: the uncompressed ColumnStore, the packed page
-// store, and the B+-tree columns must all deliver the same answers and
-// attribute counts; the packed store must also charge fewer pages.
+// store, the B+-tree columns and a live-ingest snapshot of the same data
+// must all deliver the same answers and attribute counts; the packed
+// store must also charge fewer pages.
 TEST(PackedDifferentialTest, DiskAndBTreeSoakIsBitIdentical) {
   const Dataset db = datagen::MakeUniform(4000, 8, 47);
   DiskSimulator disk;
   const ColumnStore flat_store(db, &disk);
   const PackedColumnStore packed_store(db, &disk);
   const BTreeColumns btree(db, &disk);
+  const LiveColumnIndex live(db, &disk);
+  const auto pinned = live.PinSnapshot();
+  const SnapshotColumns snapshot(pinned->trees, pinned->pid_bound);
   EXPECT_LT(packed_store.num_pages(), flat_store.num_pages());
 
   const DiskAdSearcher flat_ad(flat_store);
-  const PackedDiskAdSearcher packed_ad(packed_store);
-  const BTreeAdSearcher btree_ad(btree);
+  const DiskAdSearcher packed_ad(packed_store);
+  const DiskAdSearcher btree_ad(btree);
+  const DiskAdSearcher snapshot_ad(snapshot);
   size_t ran = 0;
   for (const PointId pid : eval::SampleQueryPids(db, 120, 902)) {
     const std::vector<Value> q(db.point(pid).begin(), db.point(pid).end());
@@ -178,18 +186,51 @@ TEST(PackedDifferentialTest, DiskAndBTreeSoakIsBitIdentical) {
     auto a = flat_ad.FrequentKnMatch(q, n0, n1, k);
     auto b = packed_ad.FrequentKnMatch(q, n0, n1, k);
     auto c = btree_ad.FrequentKnMatch(q, n0, n1, k);
+    auto d = snapshot_ad.FrequentKnMatch(q, n0, n1, k);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(d.ok());
     ExpectIdenticalSets(a.value().per_n_sets, b.value().per_n_sets);
     ExpectIdenticalSets(a.value().per_n_sets, c.value().per_n_sets);
+    ExpectIdenticalSets(a.value().per_n_sets, d.value().per_n_sets);
     EXPECT_EQ(a.value().matches, b.value().matches);
     EXPECT_EQ(a.value().matches, c.value().matches);
+    EXPECT_EQ(a.value().matches, d.value().matches);
     EXPECT_EQ(a.value().attributes_retrieved,
               b.value().attributes_retrieved);
     EXPECT_EQ(a.value().attributes_retrieved,
               c.value().attributes_retrieved);
+    EXPECT_EQ(a.value().attributes_retrieved,
+              d.value().attributes_retrieved);
     ++ran;
+  }
+
+  // Governed: a tight attribute budget trips every organization at the
+  // same pop, with the same status, cost and partial answer.
+  const std::vector<Value> q(db.point(7).begin(), db.point(7).end());
+  constexpr uint64_t kBudget = 300;
+  auto full = flat_ad.FrequentKnMatch(q, 2, 6, 10);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full.value().attributes_retrieved, 4 * kBudget);
+  const auto trip = [&](const auto& searcher) {
+    QueryContext ctx;
+    ctx.budgets().max_attributes = kBudget;
+    const StatusCode code =
+        searcher.FrequentKnMatch(q, 2, 6, 10, &ctx).status().code();
+    EXPECT_TRUE(ctx.tripped());
+    return std::make_pair(code, ctx.trip());
+  };
+  const auto [want_code, want] = trip(flat_ad);
+  EXPECT_EQ(want_code, StatusCode::kResourceExhausted);
+  EXPECT_GE(want.attributes_retrieved, kBudget);
+  EXPECT_LT(want.attributes_retrieved, full.value().attributes_retrieved);
+  for (const auto& [code, got] :
+       {trip(packed_ad), trip(btree_ad), trip(snapshot_ad)}) {
+    EXPECT_EQ(code, want_code);
+    EXPECT_EQ(got.attributes_retrieved, want.attributes_retrieved);
+    EXPECT_EQ(got.pops, want.pops);
+    ExpectIdenticalSets(got.partial_per_n_sets, want.partial_per_n_sets);
   }
 }
 

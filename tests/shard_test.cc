@@ -269,6 +269,10 @@ TEST(ShardRouterBasics, StatsAndCacheHits) {
 // Continuous random coordinates make cross-point difference ties a
 // measure-zero event, so the canonical merge order is THE order (see
 // docs/sharding.md for the boundary-tie caveat this sidesteps).
+//
+// Every soak pins the fan-out to one thread per shard. The default
+// (min(shards, hardware threads)) dispatches serially on a one-core
+// host, where no race between shards can happen or be reported.
 
 struct SoakRig {
   Dataset db;
@@ -315,6 +319,7 @@ TEST(ShardDifferentialSoak, AllPartitionersBitIdentical) {
                         Partitioner::kKMeans}) {
     RouterOptions options;
     options.shards = 4;
+    options.threads = options.shards;
     options.partitioner = p;
     options.partitions_per_shard = 4;
     const ShardRouter router(rig.db, options);
@@ -328,6 +333,7 @@ TEST(ShardDifferentialSoak, HedgingPreservesBitIdentity) {
   SoakRig rig(400, 6, 777);
   RouterOptions options;
   options.shards = 4;
+  options.threads = options.shards;
   options.replicas = 2;
   options.hedge_threshold_ms = 1e-9;  // hedge every dispatch after the first
   const ShardRouter router(rig.db, options);
@@ -345,6 +351,7 @@ TEST(ShardDifferentialSoak, AutoDiskAbsorbsInjectedFaults) {
   SoakRig rig(300, 5, 31);
   RouterOptions options;
   options.shards = 4;
+  options.threads = options.shards;
   options.method = RouterOptions::Method::kDiskAuto;
   const ShardRouter router(rig.db, options);
   FaultInjector chaos(FaultInjector::Config{.seed = 5,
@@ -366,6 +373,7 @@ TEST(ShardDifferentialSoak, ExplicitDiskFailsOverToReplicas) {
   SoakRig rig(300, 5, 57);
   RouterOptions options;
   options.shards = 4;
+  options.threads = options.shards;
   options.replicas = 2;
   options.method = RouterOptions::Method::kDiskScan;
   const ShardRouter router(rig.db, options);
