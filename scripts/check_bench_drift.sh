@@ -7,11 +7,18 @@
 # successive PRs leave a machine-readable perf trajectory.
 #
 # Also gates sequential throughput: each workload's sequential QPS must
-# stay within QPS_DRIFT_PERCENT (default 10) of the sequential_qps
-# recorded in the committed BENCH_throughput.json. An intentional perf
-# change trips the gate on purpose — rerun with a wider
-# QPS_DRIFT_PERCENT and commit the refreshed BENCH_throughput.json,
-# which becomes the next baseline.
+# stay within QPS_DRIFT_PERCENT (default 10) of a recorded baseline.
+# The baseline is the local BENCH_throughput.json snapshot when one
+# exists (BENCH_*.json is gitignored, so only a previous run on this
+# checkout leaves it), else the last record of the committed
+# BENCH_history.jsonl — so a fresh clone is gated too. Every appended
+# history record is stamped with the host's fingerprint (nproc, CPU
+# model, compiler); a history baseline from a different fingerprint, or
+# from a record that predates the stamp, is not comparable: the gate
+# WARNs and re-baselines (the record this run appends becomes the next
+# baseline) instead of comparing. An intentional perf change trips the
+# gate on purpose — rerun with a wider QPS_DRIFT_PERCENT; the appended
+# record becomes the next baseline.
 #
 # The cached lane gates the zipfian_repeat workload on its own ratio
 # (cached_qps / cold_qps >= MIN_CACHE_SPEEDUP, default 5) rather than
@@ -42,8 +49,15 @@
 # append). This is the hook tests/check_bench_drift_strict_test.sh
 # exercises the gating logic through.
 #
+# --drift-only <json>: run only the sequential-QPS drift gate of <json>
+# against the baseline found next to it (a sibling BENCH_throughput.json,
+# else the last record of a sibling BENCH_history.jsonl), printing this
+# host's fingerprint; no build, no benchmark run, no history append.
+# The test hook for the baseline fallback and the fingerprint check.
+#
 # Usage: scripts/check_bench_drift.sh [--strict]  (build dir: build)
 #        scripts/check_bench_drift.sh --gate-only BENCH_throughput.json
+#        scripts/check_bench_drift.sh --drift-only fresh.json
 #        BUILD_DIR=/tmp/b scripts/check_bench_drift.sh
 #        OVERHEAD_BUDGET_PERCENT=3 scripts/check_bench_drift.sh
 #        QPS_DRIFT_PERCENT=25 scripts/check_bench_drift.sh
@@ -58,6 +72,7 @@ MIN_SPEEDUP=${MIN_CACHE_SPEEDUP:-5}
 
 STRICT=0
 GATE_ONLY=""
+DRIFT_ONLY=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --strict) STRICT=1 ;;
@@ -65,14 +80,34 @@ while [[ $# -gt 0 ]]; do
       shift
       GATE_ONLY=${1:?--gate-only needs a BENCH_throughput.json path}
       ;;
+    --drift-only)
+      shift
+      DRIFT_ONLY=${1:?--drift-only needs a BENCH_throughput.json path}
+      ;;
     *)
       echo "unknown flag: $1" >&2
-      echo "usage: $0 [--strict] [--gate-only <json>]" >&2
+      echo "usage: $0 [--strict] [--gate-only <json>] [--drift-only <json>]" >&2
       exit 2
       ;;
   esac
   shift
 done
+
+# This host's fingerprint as a one-line JSON object: QPS recorded on a
+# different core count, CPU or compiler is not a baseline for this run.
+host_json() {
+  local cpu compiler="c++"
+  cpu=$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null |
+    cut -d: -f2- | sed 's/^ *//; s/"/\\"/g' || true)
+  if [[ -f "$BUILD_DIR/CMakeCache.txt" ]]; then
+    compiler=$(grep -m1 '^CMAKE_CXX_COMPILER:' "$BUILD_DIR/CMakeCache.txt" |
+      cut -d= -f2- || true)
+  fi
+  compiler=$("${compiler:-c++}" --version 2>/dev/null | head -1 |
+    sed 's/"/\\"/g' || true)
+  printf '{"nproc": %s, "cpu_model": "%s", "compiler": "%s"}' \
+    "$(nproc)" "${cpu:-unknown}" "${compiler:-unknown}"
+}
 
 # A gated lane missing from the fresh run: WARN by default (the lane may
 # be newer than the installed bench binary), FAIL under --strict.
@@ -234,6 +269,151 @@ gate_serving() {
   return 0
 }
 
+# Emits "name sequential_qps" pairs; leans on the exact one-line-per-
+# workload layout bench_throughput writes (a history record carries the
+# same layout on one line).
+sequential_qps() {
+  grep -o '"name": "[^"]*", "sequential_qps": [0-9.]*' "$1" |
+    sed 's/"name": "\([^"]*\)", "sequential_qps": \([0-9.]*\)/\1 \2/'
+}
+
+# Copies the drift baseline for the checkout directory $1 into $2 and
+# sets baseline_source: the local BENCH_throughput.json snapshot, else
+# the last BENCH_history.jsonl record when its host fingerprint matches
+# this host's. A record from another fingerprint (or an unstamped one)
+# WARNs and sets rebaselined instead: this run's record replaces it.
+pick_baseline() {
+  local dir=$1 out=$2
+  baseline_source=""
+  rebaselined=0
+  if [[ -f "$dir/BENCH_throughput.json" ]]; then
+    cp "$dir/BENCH_throughput.json" "$out"
+    baseline_source="$dir/BENCH_throughput.json"
+    return 0
+  fi
+  local history="$dir/BENCH_history.jsonl"
+  if [[ ! -s "$history" ]]; then
+    return 0
+  fi
+  local record recorded_host host
+  record=$(tail -n 1 "$history")
+  recorded_host=$(grep -o '"host": {[^}]*}' <<<"$record" | head -1 |
+    sed 's/^"host": //' || true)
+  host=$(host_json)
+  if [[ "$recorded_host" != "$host" ]]; then
+    echo "WARN [drift]: last $history record was taken on" \
+         "${recorded_host:-an unstamped host}, not this host ($host);" \
+         "re-baselining instead of comparing"
+    rebaselined=1
+    return 0
+  fi
+  printf '%s\n' "$record" >"$out"
+  baseline_source="last $history record"
+}
+
+# Gates the sequential QPS of the fresh run $1 against the baseline
+# copy $2 (empty when pick_baseline found none).
+gate_drift() {
+  local fresh=$1 baseline_json=$2
+  if [[ -n "$baseline_source" ]]; then
+    echo "drift baseline: $baseline_source"
+    drift_fail=0
+    while read -r name base; do
+      new=$(sequential_qps "$fresh" |
+        awk -v n="$name" '$1 == n {print $2}')
+      if [[ -z "$new" ]]; then
+        echo "FAIL [lane $name]: workload missing from $fresh" >&2
+        drift_fail=1
+        continue
+      fi
+      drift=$(awk -v b="$base" -v n="$new" \
+        'BEGIN{printf "%+.1f", (n - b) / b * 100}')
+      if awk -v b="$base" -v n="$new" -v t="$QPS_DRIFT" \
+          'BEGIN{d = (n - b) / b * 100; if (d < 0) d = -d; exit !(d > t)}'; then
+        echo "FAIL [lane $name]: sequential QPS drifted ${drift}%" \
+             "(${base} -> ${new}, budget +/-${QPS_DRIFT}%)" >&2
+        drift_fail=1
+      else
+        echo "OK: $name sequential QPS ${base} -> ${new}" \
+             "(${drift}%, budget +/-${QPS_DRIFT}%)"
+      fi
+    done < <(sequential_qps "$baseline_json")
+    # A lane in the fresh run but absent from the recorded baseline is a
+    # newly added workload, not a regression: record it and pass with a
+    # warning — this run's history record becomes its baseline.
+    # Under --strict the absence fails instead: with baselines committed,
+    # a hole here means the baseline regressed, not that the lane is new.
+    while read -r name new; do
+      if ! sequential_qps "$baseline_json" |
+          awk -v n="$name" '$1 == n {found=1} END{exit !found}'; then
+        if [[ "$STRICT" == 1 ]]; then
+          echo "FAIL [lane $name]: no recorded baseline (--strict)" >&2
+          drift_fail=1
+        else
+          echo "WARN [lane $name]: no recorded baseline; recording" \
+               "${new} q/s as the new baseline and passing"
+        fi
+      fi
+    done < <(sequential_qps "$fresh")
+
+    # packed_columns drifts on its own field name (the lane is exact, so
+    # it owes the same +/-10% its flat siblings do, but packed_qps keeps
+    # it out of the sequential loop above by construction).
+    base_packed=$(grep -o '"packed_qps": [0-9.]*' "$baseline_json" |
+      head -1 | awk '{print $2}' || true)
+    new_packed=$(grep -o '"packed_qps": [0-9.]*' "$fresh" |
+      head -1 | awk '{print $2}' || true)
+    if [[ -n "$base_packed" && -n "$new_packed" ]]; then
+      drift=$(awk -v b="$base_packed" -v n="$new_packed" \
+        'BEGIN{printf "%+.1f", (n - b) / b * 100}')
+      if awk -v b="$base_packed" -v n="$new_packed" -v t="$QPS_DRIFT" \
+          'BEGIN{d = (n - b) / b * 100; if (d < 0) d = -d; exit !(d > t)}'; then
+        echo "FAIL [lane packed_columns]: packed QPS drifted ${drift}%" \
+             "(${base_packed} -> ${new_packed}, budget +/-${QPS_DRIFT}%)" >&2
+        drift_fail=1
+      else
+        echo "OK: packed_columns packed QPS ${base_packed} ->" \
+             "${new_packed} (${drift}%, budget +/-${QPS_DRIFT}%)"
+      fi
+    elif [[ -n "$new_packed" ]]; then
+      if [[ "$STRICT" == 1 ]]; then
+        echo "FAIL [lane packed_columns]: no recorded packed_qps" \
+             "baseline (--strict)" >&2
+        drift_fail=1
+      else
+        echo "WARN [lane packed_columns]: no recorded packed_qps" \
+             "baseline; recording ${new_packed} q/s and passing"
+      fi
+    fi
+    if [[ "$drift_fail" != 0 ]]; then
+      return 1
+    fi
+  elif [[ "$rebaselined" == 1 ]]; then
+    # A different host is not a regression, under --strict too.
+    echo "QPS gate re-baselined: this run's history record is the" \
+         "next baseline"
+  elif [[ "$STRICT" == 1 ]]; then
+    echo "FAIL: no recorded drift baseline (--strict)" >&2
+    return 1
+  else
+    echo "no recorded drift baseline; QPS gate skipped"
+  fi
+  return 0
+}
+
+if [[ -n "$DRIFT_ONLY" ]]; then
+  if [[ ! -f "$DRIFT_ONLY" ]]; then
+    echo "FAIL: --drift-only file $DRIFT_ONLY does not exist" >&2
+    exit 1
+  fi
+  echo "host: $(host_json)"
+  baseline_json=$(mktemp)
+  trap 'rm -f "$baseline_json"' EXIT
+  pick_baseline "$(dirname "$DRIFT_ONLY")" "$baseline_json"
+  gate_drift "$DRIFT_ONLY" "$baseline_json"
+  exit $?
+fi
+
 if [[ -n "$GATE_ONLY" ]]; then
   if [[ ! -f "$GATE_ONLY" ]]; then
     echo "FAIL: --gate-only file $GATE_ONLY does not exist" >&2
@@ -292,104 +472,14 @@ echo "OK: governance overhead ${gov_overhead}% within budget ${BUDGET}%"
 
 # --- Gate: sequential QPS drift on the batch-throughput workloads. ---
 # The run below overwrites BENCH_throughput.json in place, so snapshot
-# the committed baseline first.
+# the baseline first.
 baseline_json=$(mktemp)
 trap 'rm -f "$baseline_json"' EXIT
-have_baseline=0
-if [[ -f BENCH_throughput.json ]]; then
-  cp BENCH_throughput.json "$baseline_json"
-  have_baseline=1
-fi
-
-# Emits "name sequential_qps" pairs; leans on the exact one-line-per-
-# workload layout bench_throughput writes.
-sequential_qps() {
-  grep -o '"name": "[^"]*", "sequential_qps": [0-9.]*' "$1" |
-    sed 's/"name": "\([^"]*\)", "sequential_qps": \([0-9.]*\)/\1 \2/'
-}
+pick_baseline . "$baseline_json"
 
 "$BUILD_DIR"/bench/bench_throughput 32 50000 16
 
-if [[ "$have_baseline" == 1 ]]; then
-  drift_fail=0
-  while read -r name base; do
-    new=$(sequential_qps BENCH_throughput.json |
-      awk -v n="$name" '$1 == n {print $2}')
-    if [[ -z "$new" ]]; then
-      echo "FAIL [lane $name]: workload missing from new" \
-           "BENCH_throughput.json" >&2
-      drift_fail=1
-      continue
-    fi
-    drift=$(awk -v b="$base" -v n="$new" \
-      'BEGIN{printf "%+.1f", (n - b) / b * 100}')
-    if awk -v b="$base" -v n="$new" -v t="$QPS_DRIFT" \
-        'BEGIN{d = (n - b) / b * 100; if (d < 0) d = -d; exit !(d > t)}'; then
-      echo "FAIL [lane $name]: sequential QPS drifted ${drift}%" \
-           "(${base} -> ${new}, budget +/-${QPS_DRIFT}%)" >&2
-      drift_fail=1
-    else
-      echo "OK: $name sequential QPS ${base} -> ${new}" \
-           "(${drift}%, budget +/-${QPS_DRIFT}%)"
-    fi
-  done < <(sequential_qps "$baseline_json")
-  # A lane in the fresh run but absent from the recorded baseline is a
-  # newly added workload, not a regression: record it and pass with a
-  # warning — the refreshed BENCH_throughput.json becomes its baseline.
-  # Under --strict the absence fails instead: with baselines committed,
-  # a hole here means the baseline regressed, not that the lane is new.
-  while read -r name new; do
-    if ! sequential_qps "$baseline_json" |
-        awk -v n="$name" '$1 == n {found=1} END{exit !found}'; then
-      if [[ "$STRICT" == 1 ]]; then
-        echo "FAIL [lane $name]: no recorded baseline (--strict)" >&2
-        drift_fail=1
-      else
-        echo "WARN [lane $name]: no recorded baseline; recording" \
-             "${new} q/s as the new baseline and passing"
-      fi
-    fi
-  done < <(sequential_qps BENCH_throughput.json)
-
-  # packed_columns drifts on its own field name (the lane is exact, so
-  # it owes the same +/-10% its flat siblings do, but packed_qps keeps
-  # it out of the sequential loop above by construction).
-  base_packed=$(grep -o '"packed_qps": [0-9.]*' "$baseline_json" |
-    head -1 | awk '{print $2}')
-  new_packed=$(grep -o '"packed_qps": [0-9.]*' BENCH_throughput.json |
-    head -1 | awk '{print $2}')
-  if [[ -n "$base_packed" && -n "$new_packed" ]]; then
-    drift=$(awk -v b="$base_packed" -v n="$new_packed" \
-      'BEGIN{printf "%+.1f", (n - b) / b * 100}')
-    if awk -v b="$base_packed" -v n="$new_packed" -v t="$QPS_DRIFT" \
-        'BEGIN{d = (n - b) / b * 100; if (d < 0) d = -d; exit !(d > t)}'; then
-      echo "FAIL [lane packed_columns]: packed QPS drifted ${drift}%" \
-           "(${base_packed} -> ${new_packed}, budget +/-${QPS_DRIFT}%)" >&2
-      drift_fail=1
-    else
-      echo "OK: packed_columns packed QPS ${base_packed} ->" \
-           "${new_packed} (${drift}%, budget +/-${QPS_DRIFT}%)"
-    fi
-  elif [[ -n "$new_packed" ]]; then
-    if [[ "$STRICT" == 1 ]]; then
-      echo "FAIL [lane packed_columns]: no recorded packed_qps" \
-           "baseline (--strict)" >&2
-      drift_fail=1
-    else
-      echo "WARN [lane packed_columns]: no recorded packed_qps" \
-           "baseline; recording ${new_packed} q/s and passing"
-    fi
-  fi
-  if [[ "$drift_fail" != 0 ]]; then
-    exit 1
-  fi
-else
-  if [[ "$STRICT" == 1 ]]; then
-    echo "FAIL: no recorded BENCH_throughput.json baseline (--strict)" >&2
-    exit 1
-  fi
-  echo "no recorded BENCH_throughput.json baseline; QPS gate skipped"
-fi
+gate_drift BENCH_throughput.json "$baseline_json"
 
 gate_lanes BENCH_throughput.json
 
@@ -403,7 +493,8 @@ gate_serving BENCH_load.json
 # root). Fold them into one history line.
 stamp=$(date -Is)
 {
-  printf '{"timestamp": "%s", "obs_overhead": ' "$stamp"
+  printf '{"timestamp": "%s", "host": %s, "obs_overhead": ' "$stamp" \
+    "$(host_json)"
   tr -d '\n' <BENCH_obs_overhead.json
   printf ', "governance_overhead": '
   tr -d '\n' <BENCH_governance_overhead.json

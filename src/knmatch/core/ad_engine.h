@@ -37,8 +37,8 @@ struct AdOutput {
   /// Attributes consumed in ascending difference order (one per
   /// delivered pop; the name predates the loser-tree kernel).
   uint64_t heap_pops = 0;
-  /// Loser-tree leaf-to-root replays (== winner runs); 0 for the
-  /// reference heap driver.
+  /// Runs — stretches of consecutive pops from one direction cursor
+  /// (AdKernel::tree_replays); 0 for the reference heap driver.
   uint64_t tree_replays = 0;
   /// Recall accounting; the all-exact default unless the run was
   /// driven under a non-exact ApproxPolicy.
@@ -265,19 +265,33 @@ template <typename Accessor>
 [[gnu::noinline, gnu::aligned(64)]] void DriveGovernedAscend(AdKernel<Accessor>& kernel,
                                            AdAnswerBuilder& answers,
                                            QueryContext* ctx) {
-  // The stride countdown lives in the sink; only every 256th pop pays
-  // the clock read and counter refresh, which keeps the governed lane
-  // within the <2% A/B budget (bench_governance_overhead).
-  uint32_t countdown = kGovernanceStride;
-  kernel.Drive([&](PointId pid, Value dif, uint16_t a) {
-    if (!answers.Consume(pid, dif, a)) return false;
-    if (--countdown == 0) {
-      countdown = kGovernanceStride;
-      return ctx->Recheck(kernel.attributes_retrieved(), answers.pops());
-    }
-    return true;
-  });
+  // A recheck is due every kGovernanceStride pops: cancellation and
+  // the budgets each time, the deadline clock every kDeadlineStrides
+  // rechecks on the band path. Its pops cost ~10-20 ns, and a clock read
+  // every stride cost the governed lane its <2% A/B budget
+  // (bench_governance_overhead); the block path, whose pops cost far
+  // more, reads the clock every stride.
+  constexpr uint32_t kClockStrides =
+      AdKernel<Accessor>::kBandPath ? kDeadlineStrides : 1;
+  uint32_t strides = 0;
+  kernel.Drive(
+      [&answers](PointId pid, Value dif, uint16_t a) {
+        return answers.Consume(pid, dif, a);
+      },
+      kGovernanceStride,
+      [&]() -> uint64_t {
+        const uint64_t attributes = kernel.attributes_retrieved();
+        bool ok;
+        if (++strides == kClockStrides) {
+          strides = 0;
+          ok = ctx->Recheck(attributes, answers.pops());
+        } else {
+          ok = ctx->RecheckBudgets(attributes, answers.pops());
+        }
+        return ok ? kGovernanceStride : 0;
+      });
 }
+
 template <typename Accessor>
 [[gnu::noinline, gnu::aligned(64)]] void DriveApproxAscend(
     AdKernel<Accessor>& kernel, AdAnswerBuilder& answers, QueryContext* ctx,
@@ -530,8 +544,8 @@ AdOutput RunAdSearchReference(Accessor& acc, std::span<const Value> query,
 }
 
 /// Accessor over in-memory SortedColumns (SoA: parallel values/pids
-/// arrays per dimension). ReadRun serves the kernel's buffer refills
-/// straight out of the column arrays.
+/// arrays per dimension). The kernel walks the spans in place on its
+/// band path; ReadEntry serves the reference engine.
 class MemoryColumnAccessor {
  public:
   explicit MemoryColumnAccessor(const SortedColumns& columns)
@@ -542,32 +556,12 @@ class MemoryColumnAccessor {
   ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t /*slot*/) const {
     return columns_.entry(dim, idx);
   }
-  /// Direct column access (DirectColumnAccessor): the kernel walks
-  /// these spans in place instead of buffering block reads.
+  /// Direct column access (DirectColumnAccessor).
   std::span<const Value> values(size_t dim) const {
     return columns_.values(dim);
   }
   std::span<const PointId> pids(size_t dim) const {
     return columns_.pids(dim);
-  }
-  /// Kernel block read: copies `len` entries walking away from the
-  /// query (descending indices for even slots, ascending for odd) into
-  /// the caller's SoA buffers. Always serves the full request — memory
-  /// has no page boundaries.
-  size_t ReadRun(size_t dim, size_t idx, size_t len, uint32_t slot,
-                 Value* values, PointId* pids) const {
-    const Value* v = columns_.values(dim).data();
-    const PointId* p = columns_.pids(dim).data();
-    if (slot % 2 == 0) {
-      for (size_t i = 0; i < len; ++i) {
-        values[i] = v[idx - i];
-        pids[i] = p[idx - i];
-      }
-    } else {
-      std::copy_n(v + idx, len, values);
-      std::copy_n(p + idx, len, pids);
-    }
-    return len;
   }
   size_t LocateLowerBound(size_t dim, Value v) const {
     return columns_.LowerBound(dim, v);

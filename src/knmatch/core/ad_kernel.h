@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 
@@ -45,9 +46,9 @@ concept RunReadingAccessor =
     };
 
 /// Detected on accessors whose columns are directly addressable memory
-/// (SoA spans). The kernel then walks the columns in place — no
-/// read-ahead buffer, no copy; the run block degenerates to a moving
-/// pointer. Takes precedence over RunReadingAccessor.
+/// (SoA spans). The kernel then runs the band-synchronous ascend over
+/// the columns in place (see AdKernel). Takes precedence over
+/// RunReadingAccessor.
 template <typename A>
 concept DirectColumnAccessor =
     requires(const A& a, size_t dim) {
@@ -55,8 +56,32 @@ concept DirectColumnAccessor =
       { a.pids(dim) } -> std::convertible_to<std::span<const PointId>>;
     };
 
-/// The block-ascending kernel: the stepping core of the AD (Ascending
-/// Difference) algorithm, rewritten around three ideas from the
+/// The stepping core of the AD (Ascending Difference) algorithm. It has
+/// two drive paths, picked by the accessor type; each serves both
+/// Drive() and Step().
+///
+/// **Band-synchronous ascend** (DirectColumnAccessor: columns are plain
+/// memory). Near a query the mean run — consecutive pops from one
+/// cursor — is about one entry, so per-pop winner selection is a
+/// serial chain on every pop. Instead each round picks a threshold
+/// T above the smallest cursor front, emits every entry with
+/// difference strictly below T from every cursor (slot-major, each
+/// cursor walking outward, so emission order is (slot, index)),
+/// stably sorts the band by difference (a counting sort on a monotone
+/// bucket map, then an insertion pass inside each bucket), and
+/// delivers it in order. A stable sort by difference of a slot-major
+/// emission is exactly the heap's (difference, slot, index) order;
+/// strict `< T` means no tie group straddles T; and each
+/// entry is charged — appearance bump and its replacement attribute —
+/// at delivery, the moment the heap engine would pop it. The band
+/// width adapts toward kAdBandTarget entries, and the band buffer has a
+/// fixed capacity: a band that would overflow it lowers T, and only a
+/// tie group larger than the buffer is split, at a point where its
+/// emission order already is its pop order (see EmitCursor).
+///
+/// **Block-ascending kernel** (everything else: paged disk, packed,
+/// B+-tree and snapshot columns, whose page-read order is part of the
+/// simulated-I/O contract), built around three ideas from the
 /// external-merge literature —
 ///
 ///   1. a loser (tournament) tree over the 2d direction cursors instead
@@ -65,14 +90,15 @@ concept DirectColumnAccessor =
 ///   2. run-batched stepping: after winning, a cursor keeps consuming
 ///      consecutive entries while each (weighted) difference stays
 ///      strictly ahead of the runner-up's key — zero tree updates per
-///      entry, and columns are sorted, so runs near the query are long;
+///      entry;
 ///   3. block reads: a RunReadingAccessor refills a cursor's
 ///      read-ahead buffer many entries at a time (SoA: values and pids
 ///      in separate arrays), which a disk accessor serves with
 ///      page-granular sequential I/O.
 ///
 /// Pop order, answer sets, and attributes_retrieved are bit-for-bit
-/// identical to the reference heap engine (AdEngine): the loser tree
+/// identical to the reference heap engine (AdEngine) on both paths: the
+/// band path by the argument above; on the block path the loser tree
 /// selects by the same total order (difference, slot); a run consumes
 /// exactly the entries the heap would have popped consecutively from
 /// that cursor; and every entry is charged when it enters the cursor
@@ -107,6 +133,10 @@ class AdKernel {
     uint16_t appearances;
   };
 
+  /// True when the kernel runs the band-synchronous ascend
+  /// (DirectColumnAccessor), false for the block kernel.
+  static constexpr bool kBandPath = DirectColumnAccessor<Accessor>;
+
   AdKernel(Accessor& accessor, std::span<const Value> query,
            std::span<const Value> weights = {}, AdScratch* scratch = nullptr)
       : acc_(accessor),
@@ -128,24 +158,13 @@ class AdKernel {
     slots_ = 2 * d;
     next_idx_ = scratch_->next_idx();
     cur_dif_ = scratch_->cur_difs();
-    cur_pid_ = scratch_->cur_pids();
-    buf_pos_ = scratch_->buf_pos();
-    buf_len_ = scratch_->buf_len();
-    tree_ = &scratch_->loser_tree();
-    if constexpr (DirectColumnAccessor<Accessor>) {
-      col_vals_ = scratch_->col_values();
-      col_pids_ = scratch_->col_pids();
-      col_len_ = scratch_->col_len();
-      for (size_t dim = 0; dim < d; ++dim) {
-        const std::span<const Value> vals = acc_.values(dim);
-        const std::span<const PointId> pids = acc_.pids(dim);
-        for (uint32_t slot : {static_cast<uint32_t>(2 * dim),
-                              static_cast<uint32_t>(2 * dim + 1)}) {
-          col_vals_[slot] = vals.data();
-          col_pids_[slot] = pids.data();
-          col_len_[slot] = vals.size();
-        }
-      }
+    if constexpr (kBandPath) {
+      scratch_->PrepareBand();
+    } else {
+      cur_pid_ = scratch_->cur_pids();
+      buf_pos_ = scratch_->buf_pos();
+      buf_len_ = scratch_->buf_len();
+      tree_ = &scratch_->loser_tree();
     }
     for (size_t dim = 0; dim < d; ++dim) {
       const size_t len = ColumnLength(dim);
@@ -156,12 +175,18 @@ class AdKernel {
       const uint32_t up = down + 1;
       next_idx_[down] = pos == 0 ? kExhausted : pos - 1;
       next_idx_[up] = pos == len ? kExhausted : pos;
-      buf_pos_[down] = buf_len_[down] = 0;
-      buf_pos_[up] = buf_len_[up] = 0;
-      Advance(down);
-      Advance(up);
-      if (AccessorFailed()) return;
+      if constexpr (kBandPath) {
+        LoadFront(down);
+        LoadFront(up);
+      } else {
+        buf_pos_[down] = buf_len_[down] = 0;
+        buf_pos_[up] = buf_len_[up] = 0;
+        Advance(down);
+        Advance(up);
+        if (AccessorFailed()) return;
+      }
     }
+    if constexpr (kBandPath) return;
     // Selection strategy: up to kScanSlots cursors the difs span a few
     // cache lines, and a branchless (SIMD where available) rescan per
     // run beats the loser tree's pointer walk, whose data-dependent
@@ -189,11 +214,95 @@ class AdKernel {
   /// Runs the ascend loop, delivering pops in ascending (difference,
   /// slot) order to `sink(pid, dif, appearances)` until the sink
   /// returns false, the columns exhaust, or the accessor fails (check
-  /// its status()). This is the run-batched hot path: inside a run the
-  /// per-entry work is one buffered read, one difference, one
-  /// appearance bump, and one comparison against the runner-up's key.
+  /// its status()). On the band path the per-entry work is one
+  /// sequential band read, one appearance bump and the sink; on the
+  /// block path, inside a run, it is one buffered read, one difference,
+  /// one appearance bump, and one comparison against the runner-up's
+  /// key.
   template <typename Sink>
   void Drive(Sink&& sink) {
+    Drive(sink, 0, [] { return uint64_t{0}; });
+  }
+
+  /// Drive with an amortized hook — the governance recheck: `on_due()`
+  /// runs once `due` pops have been delivered (after the sink accepted
+  /// the last of them) and returns how many more pops until it is due
+  /// again, 0 to stop the drive. The band path bounds its delivery
+  /// chunks by the count, so its per-pop loop is the ungoverned one;
+  /// the block path counts down in the sink. `due` 0 never calls it.
+  template <typename Sink, typename OnDue>
+  void Drive(Sink&& sink, uint64_t due, OnDue&& on_due) {
+    if constexpr (kBandPath) {
+      DriveBand(sink, due, on_due);
+    } else if (due == 0) {
+      DriveBlock(sink);
+    } else {
+      DriveBlock([&](PointId pid, Value dif, uint16_t a) {
+        if (!sink(pid, dif, a)) return false;
+        if (--due == 0) due = on_due();
+        return due != 0;
+      });
+    }
+  }
+
+  /// Pops the next attribute in ascending difference order; nullopt
+  /// once every attribute of every column has been consumed — or once
+  /// the accessor reports a failure. Single-stepping entry point for
+  /// consumers that cannot batch (AdMatchStream). The band path
+  /// delivers from the same bands Drive uses; the block path pays one
+  /// tree replay per pop and no runner-up computation.
+  std::optional<Pop> Step() {
+    if constexpr (kBandPath) {
+      if (band_pos_ == band_len_ && !NextBand()) return std::nullopt;
+      const AdBandEntry& e = band_out_[band_pos_++];
+      attributes_retrieved_ += e.tag & 1;
+      return Pop{e.pid, e.dif, scratch_->BumpAppearances(e.pid)};
+    }
+    if (AccessorFailed()) return std::nullopt;
+    uint32_t w;
+    if (use_scan_) {
+      Value ru_unused, x2_unused, x3_unused;
+      w = ScanWinner(&ru_unused, &x2_unused, &x3_unused);
+    } else {
+      w = tree_->winner();
+    }
+    if (cur_dif_[w] == kInfValue) return std::nullopt;
+    const PointId pid = cur_pid_[w];
+    const Value dif = cur_dif_[w];
+    const uint16_t a = scratch_->BumpAppearances(pid);
+    Advance(w);
+    if (AccessorFailed()) return std::nullopt;
+    if (use_scan_) {
+      UpdatePairMin(w);
+    } else {
+      tree_->Replay(w, cur_dif_);
+    }
+    ++tree_replays_;
+    return Pop{pid, dif, a};
+  }
+
+  /// Attributes retrieved so far: each cursor's first entry plus one
+  /// replacement per delivered pop whose cursor held another entry —
+  /// never buffered read-ahead or emitted-but-undelivered band entries.
+  uint64_t attributes_retrieved() const { return attributes_retrieved_; }
+  /// Runs so far — maximal stretches of consecutive pops from one
+  /// cursor. The block path counts its winner-selection rounds
+  /// (loser-tree replays or rescans; Step counts one per pop); the band
+  /// path counts runs in delivery order (Drive only).
+  uint64_t tree_replays() const { return tree_replays_; }
+  /// Entries delivered across all runs (Drive only).
+  uint64_t run_entries() const { return run_entries_; }
+  /// Run lengths, log-bucketed with obs::Histogram's layout (bucket i
+  /// >= 1 holds lengths in [2^(i-1), 2^i)); accumulated locally so the
+  /// hot loop never touches an atomic.
+  const std::array<uint64_t, 65>& run_length_buckets() const {
+    return run_length_buckets_;
+  }
+
+ private:
+  /// The block path's ascend loop (see Drive).
+  template <typename Sink>
+  void DriveBlock(Sink&& sink) {
     if (AccessorFailed()) return;
     if (use_scan_) {
       DriveScan(sink);
@@ -245,52 +354,331 @@ class AdKernel {
     }
   }
 
-  /// Pops the next attribute in ascending difference order; nullopt
-  /// once every attribute of every column has been consumed — or once
-  /// the accessor reports a failure. Single-stepping entry point for
-  /// consumers that cannot batch (AdMatchStream); one tree replay per
-  /// pop, no runner-up computation.
-  std::optional<Pop> Step() {
-    if (AccessorFailed()) return std::nullopt;
-    uint32_t w;
-    if (use_scan_) {
-      Value ru_unused, x2_unused, x3_unused;
-      w = ScanWinner(&ru_unused, &x2_unused, &x3_unused);
-    } else {
-      w = tree_->winner();
-    }
-    if (cur_dif_[w] == kInfValue) return std::nullopt;
-    const PointId pid = cur_pid_[w];
-    const Value dif = cur_dif_[w];
-    const uint16_t a = scratch_->BumpAppearances(pid);
-    Advance(w);
-    if (AccessorFailed()) return std::nullopt;
-    if (use_scan_) {
-      UpdatePairMin(w);
-    } else {
-      tree_->Replay(w, cur_dif_);
-    }
-    ++tree_replays_;
-    return Pop{pid, dif, a};
-  }
-
-  /// Attributes retrieved so far (including cursor read-ahead, not
-  /// including buffered entries no cursor has reached yet).
-  uint64_t attributes_retrieved() const { return attributes_retrieved_; }
-  /// Winner-selection rounds (== runs) so far: loser-tree replays on
-  /// the tree path, rescans on the flat-scan path.
-  uint64_t tree_replays() const { return tree_replays_; }
-  /// Entries delivered across all runs (Drive only).
-  uint64_t run_entries() const { return run_entries_; }
-  /// Run lengths, log-bucketed with obs::Histogram's layout (bucket i
-  /// >= 1 holds lengths in [2^(i-1), 2^i)); accumulated locally so the
-  /// hot loop never touches an atomic.
-  const std::array<uint64_t, 65>& run_length_buckets() const {
-    return run_length_buckets_;
-  }
-
- private:
   static constexpr size_t kExhausted = static_cast<size_t>(-1);
+  /// Entries the band width seed probes out on each cursor.
+  static constexpr size_t kBandProbeDepth = 16;
+  /// Buckets up to which the band sort leaves a bucket to the final
+  /// insertion pass; larger unsorted buckets are merge-sorted first.
+  static constexpr size_t kBandInsertionLimit = 32;
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  // ---- Band path (DirectColumnAccessor) --------------------------------
+
+  template <typename Sink, typename OnDue>
+  void DriveBand(Sink&& sink, uint64_t due, OnDue&& on_due) {
+    // Run statistics ride along: a run is a maximal stretch of
+    // consecutive deliveries from one slot, across bands. Most runs are
+    // one entry long and cost nothing beyond the slot compare: only
+    // longer runs are recorded as they close, and the one-entry runs
+    // are what remains of the delivered count at the end.
+    uint32_t run_slot = kNoSlot;
+    uint64_t run_len = 0, long_run_entries = 0, delivered = 0;
+    // Pops left before on_due() runs; a delivery chunk never crosses
+    // it, so the hook runs between chunks.
+    if (due == 0) due = ~uint64_t{0};
+    for (;;) {
+      if (band_pos_ == band_len_ && !NextBand()) break;
+      const AdBandEntry* const begin = band_out_ + band_pos_;
+      const AdBandEntry* const end =
+          begin + std::min<uint64_t>(band_len_ - band_pos_, due);
+      const AdBandEntry* e = begin;
+      bool stop = false;
+      while (e != end) {
+        const AdBandEntry& x = *e++;
+        // Charged before the sink sees the pop — the moment the heap
+        // engine reads the replacement — so on_due() after it observes
+        // the heap engine's attribute count.
+        attributes_retrieved_ += x.tag & 1;
+        const uint16_t a = scratch_->BumpAppearances(x.pid);
+        if (const uint32_t slot = x.tag >> 1; slot != run_slot) {
+          if (run_len > 1) [[unlikely]] {
+            RecordLongRun(run_len, long_run_entries);
+          }
+          run_len = 0;
+          run_slot = slot;
+        }
+        ++run_len;
+        if (!sink(x.pid, x.dif, a)) {
+          stop = true;
+          break;
+        }
+      }
+      const auto chunk = static_cast<uint64_t>(e - begin);
+      delivered += chunk;
+      band_pos_ += chunk;
+      if (stop) break;
+      due -= chunk;
+      if (due == 0 && (due = on_due()) == 0) break;
+    }
+    if (run_len > 1) RecordLongRun(run_len, long_run_entries);
+    const uint64_t one_entry_runs = delivered - long_run_entries;
+    run_length_buckets_[1] += one_entry_runs;
+    tree_replays_ += one_entry_runs;
+    run_entries_ += delivered;
+  }
+
+  void RecordLongRun(uint64_t length, uint64_t& entries) {
+    ++run_length_buckets_[std::bit_width(length)];
+    ++tree_replays_;
+    entries += length;
+  }
+
+  Value WeightOf(size_t dim) const {
+    // Multiplying by 1.0 is exact, so the unweighted difference is
+    // bit-identical to the reference's unmultiplied one.
+    return weights_.empty() ? Value{1} : weights_[dim];
+  }
+
+  /// The (weighted) difference of entry `idx` of `slot`'s column,
+  /// computed exactly as the reference engine computes it.
+  Value DifAt(uint32_t slot, size_t idx) const {
+    const size_t dim = slot / 2;
+    const Value v = acc_.values(dim)[idx];
+    return (slot % 2 == 0 ? query_[dim] - v : v - query_[dim]) *
+           WeightOf(dim);
+  }
+
+  /// Loads `slot`'s first entry as its cursor front, charging it — the
+  /// heap engine's initial read.
+  void LoadFront(uint32_t slot) {
+    const size_t idx = next_idx_[slot];
+    if (idx == kExhausted) {
+      cur_dif_[slot] = kInfValue;
+      return;
+    }
+    ++attributes_retrieved_;
+    cur_dif_[slot] = DifAt(slot, idx);
+  }
+
+  /// First band width: the density probe. Each live cursor's entry
+  /// kBandProbeDepth out gives its local rate (entries per unit of
+  /// difference); the width that would cover kAdBandTarget entries at
+  /// the summed rate. 0 when every probe lands on a tie with its front
+  /// (NextBand then emits just the tie group at the lowest front).
+  Value ProbeWidth() const {
+    Value rate = 0;
+    for (uint32_t slot = 0; slot < slots_; ++slot) {
+      const size_t idx = next_idx_[slot];
+      if (idx == kExhausted) continue;
+      const size_t beyond = slot % 2 == 0
+                                ? idx
+                                : acc_.values(slot / 2).size() - 1 - idx;
+      const size_t depth = std::min(beyond, kBandProbeDepth);
+      if (depth == 0) continue;
+      const Value span =
+          DifAt(slot, slot % 2 == 0 ? idx - depth : idx + depth) -
+          cur_dif_[slot];
+      if (span > 0) rate += static_cast<Value>(depth) / span;
+    }
+    return rate > 0 ? static_cast<Value>(kAdBandTarget) / rate : Value{0};
+  }
+
+  /// Emits, sorts and stages the next band; false once every cursor is
+  /// exhausted.
+  bool NextBand() {
+    Value lo = kInfValue;
+    for (uint32_t slot = 0; slot < slots_; ++slot) {
+      lo = std::min(lo, cur_dif_[slot]);
+    }
+    if (lo == kInfValue) return false;
+    if (!(band_width_ > 0)) band_width_ = ProbeWidth();
+    // T > lo, so the band holds at least part of the lowest front's tie
+    // group.
+    const Value tie_only = std::nextafter(lo, kInfValue);
+    Value t = lo + band_width_;
+    if (!(t > lo)) t = tie_only;
+    const Value requested = t;
+    size_t n = 0;
+    Value hi = lo;
+    for (uint32_t slot = 0; slot < slots_; ++slot) {
+      const bool full = slot % 2 == 0 ? EmitCursor<false>(slot, lo, t, n, hi)
+                                      : EmitCursor<true>(slot, lo, t, n, hi);
+      if (full) break;
+    }
+    SortBand(n, lo, hi);
+    band_pos_ = 0;
+    band_len_ = n;
+    // A full buffer lowered T: steer from the width actually covered
+    // (none when the band held only the lowest tie group: probe again).
+    if (t != requested) band_width_ = t > tie_only ? t - lo : Value{0};
+    // Steer the width toward the target count, at most 4x per band.
+    band_width_ *= std::clamp(static_cast<Value>(kAdBandTarget) /
+                                  static_cast<Value>(n),
+                              Value{0.25}, Value{4});
+    return true;
+  }
+
+  /// Appends every entry of `slot` with difference < t to the band,
+  /// walking outward from the cursor front, and leaves the front at the
+  /// first entry >= t (or exhausted). Raises `hi` to the largest
+  /// difference emitted. Each entry's appearance slot is prefetched
+  /// now, a band ahead of its bump.
+  ///
+  /// The band buffer never grows. When it is full and another entry is
+  /// below t, T drops to that entry's difference and ShrinkBand takes
+  /// back what lies at or above it, so the band stays every entry below
+  /// the (lower) T. If that entry ties with the lowest front `lo`, T
+  /// drops to just above `lo` instead, and a buffer still full holds
+  /// part of one tie group: emission order is its pop order, so the
+  /// band ends right there and the next band resumes the group at this
+  /// cursor. Returns true in that case, so NextBand skips the later
+  /// slots, which could only add to the group.
+  template <bool kUp>
+  bool EmitCursor(uint32_t slot, Value lo, Value& t, size_t& n, Value& hi) {
+    Value dif = cur_dif_[slot];
+    size_t idx = next_idx_[slot];
+    const size_t dim = slot / 2;
+    const Value* vals = acc_.values(dim).data();
+    const PointId* pids = acc_.pids(dim).data();
+    const size_t len = acc_.values(dim).size();
+    const Value q = query_[dim];
+    const Value w = WeightOf(dim);
+    const uint32_t tag = slot << 1;
+    AdBandEntry* const band = scratch_->band();
+    Value last = hi;
+    // The one band-membership test: strictly below t (an exhausted
+    // cursor's +inf never is), so entries tied at t all wait for the
+    // next band whichever cursor holds them.
+    while (dif < t) {
+      if (n == kAdBandCapacity) [[unlikely]] {
+        next_idx_[slot] = idx;
+        cur_dif_[slot] = dif;
+        t = dif > lo ? dif : std::nextafter(lo, kInfValue);
+        last = hi = ShrinkBand(lo, t, n);
+        idx = next_idx_[slot];
+        dif = cur_dif_[slot];
+        if (n == kAdBandCapacity) return dif < t;
+        continue;
+      }
+      const PointId pid = pids[idx];
+      scratch_->PrefetchAppearances(pid);
+      const bool more = kUp ? idx + 1 < len : idx > 0;
+      band[n++] = AdBandEntry{dif, pid, tag | static_cast<uint32_t>(more)};
+      last = dif;
+      if (!more) {
+        idx = kExhausted;
+        dif = kInfValue;
+        break;
+      }
+      idx = kUp ? idx + 1 : idx - 1;
+      dif = (kUp ? vals[idx] - q : q - vals[idx]) * w;
+    }
+    hi = std::max(hi, last);
+    next_idx_[slot] = idx;
+    cur_dif_[slot] = dif;
+    return false;
+  }
+
+  /// Drops the n emitted entries at or above `t` and rewinds their
+  /// cursors. Each slot's entries are one contiguous run, ascending, so
+  /// the dropped ones are a suffix of it and the slot's front moves back
+  /// to the first of them. Returns the largest kept difference (`lo`
+  /// when none is kept).
+  [[gnu::noinline]] Value ShrinkBand(Value lo, Value t, size_t& n) {
+    AdBandEntry* const band = scratch_->band();
+    Value hi = lo;
+    size_t kept = 0;
+    for (size_t i = 0; i < n;) {
+      const uint32_t slot = band[i].tag >> 1;
+      size_t end = i;
+      while (end < n && band[end].tag >> 1 == slot) ++end;
+      size_t cut = i;
+      while (cut < end && band[cut].dif < t) ++cut;
+      if (cut > i) hi = std::max(hi, band[cut - 1].dif);
+      if (cut < end) {
+        // band[cut] is read before any later run is compacted over it.
+        const size_t dropped = end - cut;
+        size_t& idx = next_idx_[slot];
+        if (slot % 2 == 0) {
+          idx = idx == kExhausted ? dropped - 1 : idx + dropped;
+        } else {
+          idx = (idx == kExhausted ? acc_.values(slot / 2).size() : idx) -
+                dropped;
+        }
+        cur_dif_[slot] = band[cut].dif;
+      }
+      if (kept != i) std::copy(band + i, band + cut, band + kept);
+      kept += cut - i;
+      i = end;
+    }
+    n = kept;
+    return hi;
+  }
+
+  /// Stably sorts the n emitted entries (all in [lo, hi]) by difference
+  /// and points band_out_ at the result. Counting sort on the bucket
+  /// map b = floor(min((dif - lo) * B / (hi - lo), B - 1)): IEEE subtract
+  /// and multiply by a positive constant are monotone, so the map is,
+  /// and a bucket holds only differences strictly between its
+  /// neighbours'. The scatter keeps emission order inside a bucket, and
+  /// the closing insertion pass (strict comparisons, so stable) orders
+  /// each bucket without ever crossing into the next.
+  void SortBand(size_t n, Value lo, Value hi) {
+    AdBandEntry* in = scratch_->band();
+    if (hi == lo) {
+      band_out_ = in;  // one tie group: emission order is the order
+      return;
+    }
+    AdBandEntry* out = scratch_->band_sorted();
+    band_out_ = out;
+    const size_t buckets = std::min(std::bit_ceil(n), kAdBandMaxBuckets);
+    const Value nb = static_cast<Value>(buckets);
+    // hi - lo can be subnormal; cap the scale so (dif - lo) * scale
+    // never turns into 0 * inf.
+    const Value scale =
+        std::min(nb / (hi - lo), std::numeric_limits<Value>::max());
+    uint16_t* bucket = scratch_->band_bucket();
+    uint32_t* counts = scratch_->band_counts();
+    std::fill(counts, counts + buckets, 0u);
+    // min() before the conversion: (dif - lo) * scale lies in [0, +inf].
+    const Value top = nb - 1;
+    for (size_t i = 0; i < n; ++i) {
+      bucket[i] = static_cast<uint16_t>(
+          static_cast<uint32_t>(std::min((in[i].dif - lo) * scale, top)));
+    }
+    for (size_t i = 0; i < n; ++i) ++counts[bucket[i]];
+    uint32_t widest = 0;
+    uint32_t start = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      const uint32_t count = counts[b];
+      widest = std::max(widest, count);
+      counts[b] = start;
+      start += count;
+    }
+    // counts[b] is now bucket b's start; the scatter advances it to
+    // bucket b's end.
+    for (size_t i = 0; i < n; ++i) out[counts[bucket[i]]++] = in[i];
+    if (widest > kBandInsertionLimit) {
+      // A crowded bucket (skewed differences) would make the insertion
+      // pass quadratic; merge-sort it first. Tie groups arrive sorted.
+      for (size_t b = 0; b < buckets; ++b) {
+        const uint32_t first = b == 0 ? 0 : counts[b - 1];
+        if (counts[b] - first <= kBandInsertionLimit) continue;
+        AdBandEntry* const lo_e = out + first;
+        AdBandEntry* const hi_e = out + counts[b];
+        if (!std::is_sorted(lo_e, hi_e, DifLess)) {
+          std::stable_sort(lo_e, hi_e, DifLess);
+        }
+      }
+    }
+    for (size_t i = 1; i < n; ++i) {
+      if (!(out[i].dif < out[i - 1].dif)) continue;
+      const AdBandEntry x = out[i];
+      size_t j = i;
+      do {
+        out[j] = out[j - 1];
+        --j;
+      } while (j > 0 && x.dif < out[j - 1].dif);
+      out[j] = x;
+    }
+  }
+
+  static bool DifLess(const AdBandEntry& a, const AdBandEntry& b) {
+    return a.dif < b.dif;
+  }
+
+  // ---- Block path (paged accessors) ------------------------------------
+
   /// Cursor count up to which flat rescan beats the loser tree (the
   /// difs array fits in two cache lines and the scan is branchless,
   /// where every tree-walk branch is a coin flip to the predictor).
@@ -648,48 +1036,11 @@ class AdKernel {
     return true;
   }
 
-  /// How many entries ahead of the cursor front the direct path
-  /// prefetches the appearance slot: far enough (8 entries = ~16d pops
-  /// of other-cursor work) to cover the table's cache miss.
-  static constexpr size_t kAppearPrefetchDist = 8;
-
   /// Moves `slot`'s cursor front one entry outward: pulls the next
   /// buffered entry (refilling if needed), charges it as retrieved, and
   /// computes its weighted difference. Marks the cursor exhausted
-  /// (kInfValue) when its column direction runs dry. Directly
-  /// addressable columns skip the buffer and walk the arrays in place.
+  /// (kInfValue) when its column direction runs dry.
   void Advance(uint32_t slot) {
-    if constexpr (DirectColumnAccessor<Accessor>) {
-      const size_t idx = next_idx_[slot];
-      if (idx == kExhausted) {
-        cur_dif_[slot] = kInfValue;
-        cur_pid_[slot] = kInvalidPointId;
-        return;
-      }
-      const Value* vals = col_vals_[slot];
-      const PointId* pids = col_pids_[slot];
-      // Charged here — when the entry enters the cursor front, which
-      // is the moment the per-entry reference engine reads it.
-      ++attributes_retrieved_;
-      const Value v = vals[idx];
-      cur_pid_[slot] = pids[idx];
-      const size_t dim = slot / 2;
-      Value dif = slot % 2 == 0 ? query_[dim] - v : v - query_[dim];
-      if (!weights_.empty()) dif *= weights_[dim];
-      cur_dif_[slot] = dif;
-      if (slot % 2 == 0) {
-        next_idx_[slot] = idx == 0 ? kExhausted : idx - 1;
-        if (idx >= kAppearPrefetchDist) {
-          scratch_->PrefetchAppearances(pids[idx - kAppearPrefetchDist]);
-        }
-      } else {
-        next_idx_[slot] = idx + 1 == col_len_[slot] ? kExhausted : idx + 1;
-        if (idx + kAppearPrefetchDist < col_len_[slot]) {
-          scratch_->PrefetchAppearances(pids[idx + kAppearPrefetchDist]);
-        }
-      }
-      return;
-    }
     if (buf_pos_[slot] == buf_len_[slot] && !Refill(slot)) {
       cur_dif_[slot] = kInfValue;
       cur_pid_[slot] = kInvalidPointId;
@@ -726,10 +1077,13 @@ class AdKernel {
   PointId* cur_pid_ = nullptr;
   uint32_t* buf_pos_ = nullptr;
   uint32_t* buf_len_ = nullptr;
-  const Value** col_vals_ = nullptr;    // direct path only
-  const PointId** col_pids_ = nullptr;  // direct path only
-  size_t* col_len_ = nullptr;           // direct path only
-  Value* pair_min_ = nullptr;           // scan path only
+  Value* pair_min_ = nullptr;  // scan path only
+  // Band path only: the requested width (0 = probe before the next
+  // band) and the staged band in delivery order.
+  Value band_width_ = 0;
+  const AdBandEntry* band_out_ = nullptr;
+  size_t band_pos_ = 0;
+  size_t band_len_ = 0;
 };
 
 }  // namespace knmatch::internal

@@ -18,6 +18,29 @@ namespace knmatch::internal {
 /// cache-resident (64 entries = 512 B of values per cursor).
 inline constexpr size_t kAdRunBlock = 64;
 
+/// Entries the in-memory band-synchronous ascend aims to emit per band
+/// (see AdKernel): large enough that the per-band fixed work (2d cursor
+/// visits, bucket-array clear) amortizes to noise, small enough that a
+/// band's emitted entries and their prefetched appearance slots stay in
+/// L1/L2 until delivery.
+inline constexpr size_t kAdBandTarget = 512;
+/// Band buffer capacity, fixed: the width adaptation can overshoot the
+/// target by its clamp factor before it corrects, and a band that would
+/// overflow lowers its threshold instead of growing the buffer.
+inline constexpr size_t kAdBandCapacity = 4 * kAdBandTarget;
+/// Most buckets the band's counting sort uses.
+inline constexpr size_t kAdBandMaxBuckets = 1024;
+
+/// One emitted entry of an ascend band: its (weighted) difference, the
+/// point, and `slot << 1 | has_next` — the cursor it came from and
+/// whether that cursor holds another entry beyond it (the attribute the
+/// heap engine would read as this entry's replacement).
+struct AdBandEntry {
+  Value dif;
+  PointId pid;
+  uint32_t tag;
+};
+
 /// One attribute sitting in the AD cursor front: its (weighted)
 /// difference to the query, the direction cursor it came from, and the
 /// column entry itself. Factored out of AdEngine so the scratch arena
@@ -180,8 +203,9 @@ class AdLoserTree {
 
 /// Reusable per-query working state for the AD engines: the appearance
 /// counters, the 2d cursor positions, the cursor-front heap (reference
-/// engine), and the loser tree + SoA cursor state + run read-ahead
-/// buffers (block-ascending kernel).
+/// engine), the loser tree + SoA cursor state + run read-ahead buffers
+/// (block-ascending kernel over paged columns), and the band buffers
+/// (band-synchronous ascend over in-memory columns).
 ///
 /// A fresh AdEngine used to zero-initialize an O(cardinality) `appear_`
 /// vector per query — per-query setup cost that dwarfs the attribute
@@ -203,20 +227,23 @@ class AdScratch {
   /// (QueryContext::AdmitScratch) compares this against the budget
   /// BEFORE any allocation happens. Mirrors Prepare's sizing: the
   /// appearance table dominates (4 bytes per point); everything else
-  /// is O(d).
+  /// is O(d) or a fixed band reservation.
   static size_t EstimateFootprintBytes(size_t cardinality, size_t dims) {
     const size_t slots = 2 * dims;
     size_t bytes = cardinality * sizeof(uint32_t);  // appearance table
     // Per-slot cursor state: next_idx, cur_dif, cur_pid, buf_pos,
-    // buf_len, col_values, col_pids, col_len.
-    bytes += slots * (2 * sizeof(size_t) + sizeof(Value) + sizeof(PointId) +
-                      2 * sizeof(uint32_t) + sizeof(const Value*) +
-                      sizeof(const PointId*));
+    // buf_len.
+    bytes += slots * (sizeof(size_t) + sizeof(Value) + sizeof(PointId) +
+                      2 * sizeof(uint32_t));
     // Read-ahead buffers (SoA), heap items, loser-tree nodes, pair
     // minima.
     bytes += slots * kAdRunBlock * (sizeof(Value) + sizeof(PointId));
     bytes += slots * (sizeof(AdHeapItem) + sizeof(uint32_t));
     bytes += dims * sizeof(Value);
+    // Band buffers at their fixed capacity: emission and delivery
+    // order, per-entry bucket, and the bucket counts.
+    bytes += kAdBandCapacity * (2 * sizeof(AdBandEntry) + sizeof(uint16_t));
+    bytes += kAdBandMaxBuckets * sizeof(uint32_t);
     return bytes;
   }
 
@@ -246,9 +273,6 @@ class AdScratch {
       buf_len_.resize(slots);
       buf_values_.resize(slots * kAdRunBlock);
       buf_pids_.resize(slots * kAdRunBlock);
-      col_values_.resize(slots);
-      col_pids_.resize(slots);
-      col_len_.resize(slots);
       pair_min_.resize(padded_pairs);
     }
     heap_.Reset(slots);
@@ -327,12 +351,26 @@ class AdScratch {
   PointId* buf_pids(uint32_t slot) {
     return buf_pids_.data() + size_t{slot} * kAdRunBlock;
   }
-  /// Per-slot column base pointers and lengths, cached once per query
-  /// by the kernel's direct (zero-copy) path so an advance is two
-  /// indexed loads rather than a walk of the accessor's containers.
-  const Value** col_values() { return col_values_.data(); }
-  const PointId** col_pids() { return col_pids_.data(); }
-  size_t* col_len() { return col_len_.data(); }
+  /// Allocates the band buffers (first band-path query only). Their
+  /// size is fixed at kAdBandCapacity entries: a band that fills them
+  /// lowers its threshold, and a tie group larger than them is split
+  /// across bands (AdKernel::EmitCursor), so they never grow.
+  void PrepareBand() {
+    if (band_.empty()) {
+      band_.resize(kAdBandCapacity);
+      band_sorted_.resize(kAdBandCapacity);
+      band_bucket_.resize(kAdBandCapacity);
+      band_counts_.resize(kAdBandMaxBuckets);
+    }
+  }
+  /// Band entries in emission order (slot-major, each cursor outward).
+  AdBandEntry* band() { return band_.data(); }
+  /// Band entries in delivery order (the counting sort's output).
+  AdBandEntry* band_sorted() { return band_sorted_.data(); }
+  /// Counting-sort bucket of each emitted entry.
+  uint16_t* band_bucket() { return band_bucket_.data(); }
+  /// Counting-sort bucket counts, kAdBandMaxBuckets entries.
+  uint32_t* band_counts() { return band_counts_.data(); }
   /// Per-dimension min(down cursor dif, up cursor dif), maintained by
   /// the kernel's scan path so winner selection scans d doubles, not
   /// 2d. kInfValue-padded to a multiple of four like cur_difs.
@@ -354,10 +392,11 @@ class AdScratch {
   std::vector<uint32_t> buf_len_;
   std::vector<Value> buf_values_;
   std::vector<PointId> buf_pids_;
-  std::vector<const Value*> col_values_;
-  std::vector<const PointId*> col_pids_;
-  std::vector<size_t> col_len_;
   std::vector<Value> pair_min_;
+  std::vector<AdBandEntry> band_;
+  std::vector<AdBandEntry> band_sorted_;
+  std::vector<uint16_t> band_bucket_;
+  std::vector<uint32_t> band_counts_;
   AdCursorHeap heap_;
   AdLoserTree tree_;
 };

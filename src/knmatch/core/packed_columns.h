@@ -140,7 +140,7 @@ class PackedColumnAccessor {
   }
 
   /// Even slots are down cursors (descending walk from idx), odd slots
-  /// up cursors — the same convention as MemoryColumnAccessor. Memory-
+  /// up cursors — the AdKernel ReadRun convention. Memory-
   /// resident, so the full run is always served.
   size_t ReadRun(size_t dim, size_t idx, size_t len, uint32_t slot,
                  Value* values, PointId* pids) const {

@@ -191,6 +191,19 @@ class QueryContext {
   /// read off the armed simulator. Called once per governance stride,
   /// not per pop.
   bool Recheck(uint64_t attributes, uint64_t pops) {
+    if (!RecheckBudgets(attributes, pops)) return false;
+    if (has_deadline_ && Clock::now() >= deadline_) {
+      Trip(Status::DeadlineExceeded("query deadline exceeded"),
+           obs::Cat().governance_trip_deadline);
+      return false;
+    }
+    return true;
+  }
+
+  /// Recheck minus the deadline: cancellation and the three budgets,
+  /// no clock read. Engines whose strides are short in wall time call
+  /// it on most strides and the full Recheck on every few.
+  bool RecheckBudgets(uint64_t attributes, uint64_t pops) {
     if (tripped()) return false;
     trip_.attributes_retrieved = attributes;
     trip_.pops = pops;
@@ -211,11 +224,6 @@ class QueryContext {
     if (budgets_.max_pages != 0 && trip_.pages_read > budgets_.max_pages) {
       Trip(Status::ResourceExhausted("page-read budget exhausted"),
            obs::Cat().governance_trip_pages);
-      return false;
-    }
-    if (has_deadline_ && Clock::now() >= deadline_) {
-      Trip(Status::DeadlineExceeded("query deadline exceeded"),
-           obs::Cat().governance_trip_deadline);
       return false;
     }
     return true;
@@ -289,6 +297,13 @@ namespace internal {
 /// 1 ms deadline trips within microseconds of work, large enough that
 /// the clock read and counter refresh amortize to noise per pop.
 inline constexpr uint32_t kGovernanceStride = 256;
+
+/// Governance strides between deadline (clock) reads in the in-memory
+/// AD ascend: its pops cost ~10-20 ns, so a clock read every 256 would
+/// cost the governed lane its <2% budget, while 2,048 pops still span
+/// only tens of microseconds. Cancellation and budgets are still read
+/// every stride.
+inline constexpr uint32_t kDeadlineStrides = 8;
 
 }  // namespace internal
 

@@ -38,12 +38,11 @@ Catalog BuildCatalog() {
 
   c.ad_tree_replays = r.GetCounter(
       "knmatch_ad_tree_replays_total", "",
-      "Loser-tree replays in the block-ascending AD kernel (one per "
-      "winner run; pops per replay is the batching win)");
+      "AD runs: maximal stretches of consecutive pops from one "
+      "direction cursor (block kernel: one per winner selection)");
   c.ad_run_length = r.GetHistogram(
       "knmatch_ad_run_length", "",
-      "Entries a winning cursor consumed per run in the block-ascending "
-      "AD kernel");
+      "Pops per AD run (consecutive pops from one direction cursor)");
 
   const char* kQueriesName = "knmatch_queries_total";
   const char* kQueriesHelp = "Queries executed, by entry point";

@@ -24,8 +24,8 @@ struct Catalog {
   Counter* va_points_refined; // VA phase-2 exact re-checks
 
   // --- Block-ascending kernel (core/ad_kernel.h). ---
-  Counter* ad_tree_replays;   // loser-tree leaf-to-root replays
-  Histogram* ad_run_length;   // entries consumed per winner run
+  Counter* ad_tree_replays;   // AD runs (one direction cursor each)
+  Histogram* ad_run_length;   // pops per AD run
 
   // --- Query counts and latency, by entry point. ---
   Counter* queries_knmatch;

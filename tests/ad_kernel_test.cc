@@ -1,9 +1,10 @@
-// Tests for the block-ascending AD kernel (core/ad_kernel.h): the
-// loser tree's selection order, and the kernel's bit-for-bit
-// equivalence to the reference heap engine — pop order, answer sets,
-// attributes_retrieved, and (on disk) every I/O counter, with and
-// without injected faults. These are the tests that license swapping
-// the kernel into every production entry point.
+// Tests for the AD kernel (core/ad_kernel.h): the loser tree's
+// selection order, and the kernel's bit-for-bit equivalence to the
+// reference heap engine on both drive paths — the band-synchronous
+// ascend over in-memory columns and the block kernel over paged ones —
+// pop order, answer sets, attributes_retrieved, and (on disk) every I/O
+// counter, with and without injected faults. These are the tests that
+// license swapping the kernel into every production entry point.
 
 #include "knmatch/core/ad_kernel.h"
 
@@ -20,8 +21,11 @@
 #include "knmatch/common/random.h"
 #include "knmatch/core/ad_engine.h"
 #include "knmatch/core/ad_scratch.h"
+#include "knmatch/core/query_context.h"
 #include "knmatch/core/sorted_columns.h"
 #include "knmatch/datagen/generators.h"
+#include "knmatch/datagen/texture_like.h"
+#include "knmatch/obs/catalog.h"
 #include "knmatch/storage/column_store.h"
 #include "knmatch/storage/disk_simulator.h"
 #include "knmatch/storage/fault_injector.h"
@@ -29,6 +33,7 @@
 namespace knmatch {
 namespace {
 
+using internal::AdAnswerBuilder;
 using internal::AdEngine;
 using internal::AdKernel;
 using internal::AdLoserTree;
@@ -301,6 +306,336 @@ TEST(AdKernelStepTest, StepSequenceMatchesHeapEngineToExhaustion) {
     EXPECT_EQ(pops, db.size() * db.dims());
     EXPECT_EQ(kernel.attributes_retrieved(), engine.attributes_retrieved());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Band scale: thousands of bands per query, and the band path held to
+// the block path under the governed and approximate sinks
+
+/// A held-out query in the distraction model: a dataset point with two
+/// coordinates replaced by uniform noise and every other one jittered
+/// by up to 0.01, so the query sits near its source point but never on
+/// it.
+std::vector<Value> HeldOutQuery(const Dataset& db, Rng& rng) {
+  const auto source = static_cast<PointId>(rng.UniformInt(db.size()));
+  std::vector<Value> q(db.dims());
+  for (size_t dim = 0; dim < db.dims(); ++dim) {
+    q[dim] = std::clamp(db.at(source, dim) + rng.Uniform(-0.01, 0.01),
+                        0.0, 1.0);
+  }
+  for (int i = 0; i < 2; ++i) q[rng.UniformInt(db.dims())] = rng.Uniform01();
+  return q;
+}
+
+/// The differential sweep at band scale: mostly held-out queries with
+/// small k (the benchmark's shape, thousands of bands before the stop),
+/// mixed with out-of-range coordinates, weights, and k up to
+/// exhaustion.
+void BandScaleSweep(const Dataset& db, size_t queries, uint64_t seed,
+                    const char* what) {
+  const SortedColumns columns(db);
+  MemoryColumnAccessor acc(columns);
+  AdScratch kernel_scratch;
+  AdScratch reference_scratch;
+  Rng rng(seed);
+  const size_t d = db.dims();
+  for (size_t qi = 0; qi < queries; ++qi) {
+    std::vector<Value> q = HeldOutQuery(db, rng);
+    if (rng.Bernoulli(0.25)) {
+      for (Value& v : q) v = rng.Uniform(-0.2, 1.2);
+    }
+    const size_t n0 = 1 + rng.UniformInt(d);
+    const size_t n1 = n0 + rng.UniformInt(d - n0 + 1);
+    const size_t k = rng.Bernoulli(0.15) ? 1 + rng.UniformInt(db.size())
+                                         : 1 + rng.UniformInt(20);
+    std::vector<Value> weights;
+    if (rng.Bernoulli(0.3)) {
+      weights.resize(d);
+      for (Value& w : weights) w = 0.25 + rng.Uniform01();
+    }
+    const AdOutput kernel =
+        RunAdSearch(acc, q, n0, n1, k, weights, &kernel_scratch);
+    const AdOutput reference = RunAdSearchReference(
+        acc, q, n0, n1, k, weights, &reference_scratch);
+    ExpectSameOutput(kernel, reference, what, qi);
+  }
+}
+
+TEST(AdKernelBandTest, TextureHeldOutQueriesMatchReference) {
+  BandScaleSweep(datagen::MakeTextureLike(9, 20000), 40, 61, "texture");
+}
+
+TEST(AdKernelBandTest, QuantizedTextureMatchesReference) {
+  // Eight levels per dimension: bands are dominated by tie groups
+  // thousands of entries wide, larger than the band buffer, so they are
+  // split across bands.
+  BandScaleSweep(Quantize(datagen::MakeTextureLike(9, 20000), 8.0), 40, 62,
+                 "quantized texture");
+}
+
+/// Per dimension: a dense head near 0, a sparse stretch the band width
+/// grows across, then a cluster of `cluster` points at 0.7 — spaced
+/// 1e-7 apart, or all exactly 0.7 when `tied`. Each dimension assigns
+/// the values to points in its own random order.
+Dataset GapThenCluster(size_t cluster, bool tied, uint64_t seed) {
+  constexpr size_t kHead = 20, kSparse = 60, kDims = 3;
+  const size_t c = kHead + kSparse + cluster;
+  Matrix m(c, kDims);
+  Rng rng(seed);
+  std::vector<PointId> order(c);
+  for (size_t dim = 0; dim < kDims; ++dim) {
+    for (PointId p = 0; p < c; ++p) order[p] = p;
+    for (size_t i = c; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.UniformInt(i)]);
+    }
+    for (size_t i = 0; i < c; ++i) {
+      Value v;
+      if (i < kHead) {
+        v = 0.001 * Value(i);
+      } else if (i < kHead + kSparse) {
+        v = 0.02 + 0.01 * Value(i - kHead);
+      } else {
+        v = tied ? 0.7 : 0.7 + 1e-7 * Value(i - kHead - kSparse);
+      }
+      m.at(order[i], dim) = v;
+    }
+  }
+  return Dataset(std::move(m));
+}
+
+TEST(AdKernelBandTest, FullBandsKeepTheBufferFixedAndTheOrderExact) {
+  // A band whose width grew across a sparse stretch reaches a dense
+  // cluster (or one tie group) holding several times the band buffer:
+  // the band must lower its threshold — or split the tie group — and
+  // still deliver the heap engine's exact pop sequence, through Step
+  // and through Drive, weighted or not.
+  for (const bool tied : {false, true}) {
+    const Dataset db =
+        GapThenCluster(3 * internal::kAdBandCapacity, tied, tied ? 67 : 66);
+    const SortedColumns columns(db);
+    MemoryColumnAccessor acc(columns);
+    AdScratch kernel_scratch;
+    AdScratch reference_scratch;
+    Rng rng(68);
+    for (int qi = 0; qi < 8; ++qi) {
+      std::vector<Value> q(db.dims());
+      // Below the head, inside the sparse stretch, or above the cluster.
+      for (Value& v : q) {
+        v = qi % 4 == 0 ? 0.0 : qi % 4 == 3 ? 0.9 : rng.Uniform(0.0, 0.6);
+      }
+      std::vector<Value> weights;
+      if (qi % 2 == 1) weights = {1.0, 0.5, 1.0};
+      const char* what = tied ? "tied cluster" : "dense cluster";
+      {
+        AdKernel<MemoryColumnAccessor> kernel(acc, q, weights,
+                                              &kernel_scratch);
+        AdEngine<MemoryColumnAccessor> engine(acc, q, weights,
+                                              &reference_scratch);
+        size_t pops = 0;
+        for (;;) {
+          auto kp = kernel.Step();
+          auto ep = engine.Step();
+          ASSERT_EQ(kp.has_value(), ep.has_value()) << what << " pop " << pops;
+          if (!kp.has_value()) break;
+          ASSERT_EQ(kp->pid, ep->pid) << what << " pop " << pops;
+          ASSERT_EQ(kp->dif, ep->dif) << what << " pop " << pops;
+          ASSERT_EQ(kp->appearances, ep->appearances)
+              << what << " pop " << pops;
+          ++pops;
+        }
+        EXPECT_EQ(pops, db.size() * db.dims());
+        EXPECT_EQ(kernel.attributes_retrieved(),
+                  engine.attributes_retrieved());
+      }
+
+      const size_t k = qi < 4 ? 10 : db.size();
+      const AdOutput out =
+          RunAdSearch(acc, q, 1, db.dims(), k, weights, &kernel_scratch);
+      const AdOutput reference = RunAdSearchReference(
+          acc, q, 1, db.dims(), k, weights, &reference_scratch);
+      ExpectSameOutput(out, reference, what, qi);
+    }
+  }
+}
+
+/// The in-memory columns behind a ReadRun-only interface: no spans, so
+/// the kernel drives them on the block path (loser tree / pair-min
+/// scan) — the same data the band path walks in place.
+class BlockMemoryAccessor {
+ public:
+  explicit BlockMemoryAccessor(const SortedColumns& columns)
+      : columns_(columns) {}
+
+  size_t dims() const { return columns_.dims(); }
+  size_t column_size() const { return columns_.size(); }
+  ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t /*slot*/) const {
+    return columns_.entry(dim, idx);
+  }
+  /// Copies `len` entries walking away from the query (descending
+  /// indices for even slots, ascending for odd); memory has no page
+  /// boundaries, so the full request is always served.
+  size_t ReadRun(size_t dim, size_t idx, size_t len, uint32_t slot,
+                 Value* values, PointId* pids) const {
+    for (size_t i = 0; i < len; ++i) {
+      const size_t at = slot % 2 == 0 ? idx - i : idx + i;
+      values[i] = columns_.values(dim)[at];
+      pids[i] = columns_.pids(dim)[at];
+    }
+    return len;
+  }
+  size_t LocateLowerBound(size_t dim, Value v) const {
+    return columns_.LowerBound(dim, v);
+  }
+
+ private:
+  const SortedColumns& columns_;
+};
+
+static_assert(internal::DirectColumnAccessor<MemoryColumnAccessor>);
+static_assert(!internal::DirectColumnAccessor<BlockMemoryAccessor>);
+static_assert(internal::RunReadingAccessor<BlockMemoryAccessor>);
+
+void ExpectSameBound(const RecallBound& band, const RecallBound& block,
+                     size_t qi) {
+  EXPECT_EQ(band.guaranteed, block.guaranteed) << "query " << qi;
+  EXPECT_EQ(band.epsilon, block.epsilon) << "query " << qi;
+  EXPECT_EQ(band.exact_prefix, block.exact_prefix) << "query " << qi;
+  EXPECT_EQ(band.level_exact, block.level_exact) << "query " << qi;
+  EXPECT_EQ(band.settled_below, block.settled_below) << "query " << qi;
+  EXPECT_EQ(band.early_stopped, block.early_stopped) << "query " << qi;
+}
+
+TEST(AdKernelBandTest, GovernedAndApproxSinksMatchBlockPath) {
+  // Both drivers over the same columns, under a tight attribute budget
+  // (trips at a stride boundary), the (1+eps) stop, and both at once:
+  // the trip, its progress counters, the partial sets and the recall
+  // bound must agree exactly. Both paths recheck the budgets at every
+  // stride, so even an untripped context's progress snapshot matches.
+  const Dataset db = datagen::MakeTextureLike(9, 8000);
+  const SortedColumns columns(db);
+  MemoryColumnAccessor band_acc(columns);
+  BlockMemoryAccessor block_acc(columns);
+  AdScratch band_scratch;
+  AdScratch block_scratch;
+  Rng rng(63);
+  const size_t d = db.dims();
+  size_t tripped = 0, stopped = 0;
+  for (size_t qi = 0; qi < 120; ++qi) {
+    const std::vector<Value> q = HeldOutQuery(db, rng);
+    const size_t n0 = 1 + rng.UniformInt(d);
+    const size_t n1 = n0 + rng.UniformInt(d - n0 + 1);
+    const size_t k = 1 + rng.UniformInt(30);
+    const int mode = static_cast<int>(qi % 3);  // governed, approx, both
+    ApproxPolicy approx;
+    if (mode != 0) approx.epsilon = 0.05 * Value(1 + rng.UniformInt(5));
+    QueryContext band_ctx;
+    QueryContext block_ctx;
+    if (mode != 1) {
+      const uint64_t budget = 500 + rng.UniformInt(20000);
+      band_ctx.budgets().max_attributes = budget;
+      block_ctx.budgets().max_attributes = budget;
+    }
+    const AdOutput band = RunAdSearch(band_acc, q, n0, n1, k, {},
+                                      &band_scratch, &band_ctx, approx);
+    const AdOutput block = RunAdSearch(block_acc, q, n0, n1, k, {},
+                                       &block_scratch, &block_ctx, approx);
+    ExpectSameOutput(band, block, "band vs block", qi);
+    ExpectSameBound(band.bound, block.bound, qi);
+    stopped += band.bound.early_stopped;
+    ASSERT_EQ(band_ctx.tripped(), block_ctx.tripped()) << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().pops, block_ctx.trip().pops) << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().attributes_retrieved,
+              block_ctx.trip().attributes_retrieved)
+        << "query " << qi;
+    if (!band_ctx.tripped()) continue;
+    EXPECT_EQ(band_ctx.trip_status().code(), block_ctx.trip_status().code())
+        << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().partial_per_n_sets,
+              block_ctx.trip().partial_per_n_sets)
+        << "query " << qi;
+    ++tripped;
+  }
+  // Both arms must actually have fired, or the comparison is vacuous.
+  EXPECT_GT(tripped, 10u);
+  EXPECT_GT(stopped, 10u);
+}
+
+TEST(AdKernelBandTest, BlockPathStepMatchesHeapEngineToExhaustion) {
+  // The Step() sequence of the block path over memory columns, as
+  // AdKernelStepTest holds the band path's.
+  const Dataset db = Quantize(datagen::MakeUniform(120, 3, 17), 4.0);
+  const SortedColumns columns(db);
+  BlockMemoryAccessor acc(columns);
+  Rng rng(64);
+  for (int qi = 0; qi < 20; ++qi) {
+    std::vector<Value> q(db.dims());
+    for (Value& v : q) v = rng.Uniform(-0.1, 1.1);
+    AdKernel<BlockMemoryAccessor> kernel(acc, q);
+    AdEngine<BlockMemoryAccessor> engine(acc, q);
+    size_t pops = 0;
+    for (;;) {
+      auto kp = kernel.Step();
+      auto ep = engine.Step();
+      ASSERT_EQ(kp.has_value(), ep.has_value()) << "pop " << pops;
+      if (!kp.has_value()) break;
+      ASSERT_EQ(kp->pid, ep->pid) << "pop " << pops;
+      ASSERT_EQ(kp->dif, ep->dif) << "pop " << pops;
+      ASSERT_EQ(kp->appearances, ep->appearances) << "pop " << pops;
+      ++pops;
+    }
+    EXPECT_EQ(pops, db.size() * db.dims());
+    EXPECT_EQ(kernel.attributes_retrieved(), engine.attributes_retrieved());
+  }
+}
+
+TEST(AdKernelBandTest, RunEntriesSumToHeapPops) {
+  // On the band path a run is a maximal stretch of consecutive
+  // deliveries from one slot: the runs must partition the delivered
+  // pops, and the exported histogram must carry exactly those runs.
+  const Dataset db = datagen::MakeTextureLike(9, 8000);
+  const SortedColumns columns(db);
+  MemoryColumnAccessor acc(columns);
+  AdScratch scratch;
+  Rng rng(65);
+  for (int qi = 0; qi < 10; ++qi) {
+    const std::vector<Value> q = HeldOutQuery(db, rng);
+    AdOutput out;
+    out.per_n_sets.resize(1);
+    AdKernel<MemoryColumnAccessor> kernel(acc, q, {}, &scratch);
+    AdAnswerBuilder answers(&out, 8, 8, 10);
+    kernel.Drive([&answers](PointId pid, Value dif, uint16_t a) {
+      return answers.Consume(pid, dif, a);
+    });
+    answers.Flush();
+    ASSERT_GT(out.heap_pops, 2 * internal::kAdBandTarget)
+        << "the query must span several bands";
+    EXPECT_EQ(kernel.run_entries(), out.heap_pops) << "query " << qi;
+    // Bucket i >= 1 holds runs of [2^(i-1), 2^i) pops, so the buckets
+    // bound the pops they partition from both sides.
+    const auto& buckets = kernel.run_length_buckets();
+    uint64_t runs = 0, least = 0, most = 0;
+    for (size_t i = 1; i < 64; ++i) {
+      runs += buckets[i];
+      least += buckets[i] << (i - 1);
+      most += buckets[i] * ((uint64_t{1} << i) - 1);
+    }
+    EXPECT_EQ(buckets[0], 0u);
+    EXPECT_EQ(runs, kernel.tree_replays()) << "query " << qi;
+    EXPECT_LE(least, out.heap_pops) << "query " << qi;
+    EXPECT_GE(most, out.heap_pops) << "query " << qi;
+    EXPECT_LT(runs, out.heap_pops) << "some run is longer than one pop";
+  }
+
+  if (!obs::Enabled()) return;
+  const std::vector<Value> q = HeldOutQuery(db, rng);
+  const obs::HistogramSnapshot before = obs::Cat().ad_run_length->Snapshot();
+  const uint64_t replays_before = obs::Cat().ad_tree_replays->Value();
+  const AdOutput out = RunAdSearch(acc, q, 8, 8, 10, {}, &scratch);
+  const obs::HistogramSnapshot after = obs::Cat().ad_run_length->Snapshot();
+  EXPECT_EQ(after.sum_raw - before.sum_raw, out.heap_pops);
+  EXPECT_EQ(after.count - before.count, out.tree_replays);
+  EXPECT_EQ(obs::Cat().ad_tree_replays->Value() - replays_before,
+            out.tree_replays);
 }
 
 // ---------------------------------------------------------------------------

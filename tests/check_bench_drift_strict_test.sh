@@ -6,6 +6,10 @@
 # and a doctored recall/checksum attestation fails in both modes. The
 # open_loop_serving lane rides in a sibling BENCH_load.json, so the
 # gate-only hook also reads that file next to the one it is handed.
+# The --drift-only hook covers the sequential-QPS baseline: a sibling
+# BENCH_throughput.json wins, else the last BENCH_history.jsonl record
+# is the baseline when its host fingerprint matches, and a different or
+# missing fingerprint WARNs and re-baselines.
 #
 # Registered in tests/CMakeLists.txt; run directly with
 #   tests/check_bench_drift_strict_test.sh
@@ -149,8 +153,75 @@ expect fail "nonexistent file fails" \
 expect fail "unknown flag fails" \
   bash "$SCRIPT" --no-such-flag
 
+# --- Drift baseline: history fallback and host fingerprints.
+fresh_dir=$tmpdir/drift
+mkdir -p "$fresh_dir"
+fresh=$fresh_dir/fresh.json
+cat >"$fresh" <<'EOF'
+{
+  "workloads": [
+    {"name": "knmatch_n8_k10", "sequential_qps": 250.0}
+  ]
+}
+EOF
+expect pass "no baseline anywhere skips the drift gate" \
+  bash "$SCRIPT" --drift-only "$fresh"
+expect fail "no baseline anywhere fails under --strict" \
+  bash "$SCRIPT" --strict --drift-only "$fresh"
+host=$(bash "$SCRIPT" --drift-only "$fresh" | sed -n 's/^host: //p')
+if [[ -z "$host" ]]; then
+  echo "FAIL: --drift-only printed no host fingerprint" >&2
+  fails=$((fails + 1))
+fi
+
+# One history record per line, shaped like the script's own appends.
+record() {  # record <host json, or empty for unstamped> <sequential_qps>
+  local stamp=""
+  [[ -n "$1" ]] && stamp="\"host\": $1, "
+  printf '{"timestamp": "t", %s"throughput": {"workloads": [{"name": "knmatch_n8_k10", "sequential_qps": %s}]}}\n' \
+    "$stamp" "$2"
+}
+history=$fresh_dir/BENCH_history.jsonl
+
+{ record "$host" 900.0; record "$host" 255.0; } >"$history"
+expect pass "matching last history record is the baseline" \
+  bash "$SCRIPT" --strict --drift-only "$fresh"
+grep -q 'drift baseline: last .*BENCH_history.jsonl record' "$tmpdir/out" &&
+  grep -q 'OK: knmatch_n8_k10 sequential QPS 255.0 -> 250.0' \
+    "$tmpdir/out" || {
+  echo "FAIL: history baseline was not compared" >&2
+  sed 's/^/    /' "$tmpdir/out" >&2
+  fails=$((fails + 1))
+}
+
+record "$host" 500.0 >>"$history"
+expect fail "matching history baseline gates a -50% drop" \
+  bash "$SCRIPT" --drift-only "$fresh"
+
+other_host=$(sed 's/"nproc": [0-9]*/"nproc": 999/' <<<"$host")
+record "$other_host" 500.0 >>"$history"
+expect pass "different fingerprint WARNs and re-baselines" \
+  bash "$SCRIPT" --strict --drift-only "$fresh"
+grep -q 'WARN \[drift\]' "$tmpdir/out" || {
+  echo "FAIL: fingerprint mismatch did not print the WARN line" >&2
+  fails=$((fails + 1))
+}
+
+record "" 500.0 >>"$history"
+expect pass "unstamped record WARNs and re-baselines" \
+  bash "$SCRIPT" --drift-only "$fresh"
+grep -q 'WARN \[drift\].*unstamped' "$tmpdir/out" || {
+  echo "FAIL: unstamped record did not print the WARN line" >&2
+  fails=$((fails + 1))
+}
+
+record "$host" 500.0 >>"$history"
+cp "$fresh" "$fresh_dir/BENCH_throughput.json"
+expect pass "a local BENCH_throughput.json wins over the history" \
+  bash "$SCRIPT" --drift-only "$fresh"
+
 if [[ "$fails" != 0 ]]; then
   echo "$fails case(s) failed" >&2
   exit 1
 fi
-echo "all check_bench_drift --strict gating cases passed"
+echo "all check_bench_drift gating cases passed"
