@@ -13,7 +13,8 @@
 # checkout leaves it), else the last record of the committed
 # BENCH_history.jsonl — so a fresh clone is gated too. Every appended
 # history record is stamped with the host's fingerprint (nproc, CPU
-# model, compiler); a history baseline from a different fingerprint, or
+# model, compiler, build type, compile flags); a history baseline from
+# a different fingerprint, or
 # from a record that predates the stamp, is not comparable: the gate
 # WARNs and re-baselines (the record this run appends becomes the next
 # baseline) instead of comparing. An intentional perf change trips the
@@ -94,19 +95,32 @@ while [[ $# -gt 0 ]]; do
 done
 
 # This host's fingerprint as a one-line JSON object: QPS recorded on a
-# different core count, CPU or compiler is not a baseline for this run.
+# different core count, CPU, compiler, build type or compile flags is
+# not a baseline for this run.
 host_json() {
-  local cpu compiler="c++"
+  local cpu compiler="c++" build_type="" flags=""
   cpu=$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null |
     cut -d: -f2- | sed 's/^ *//; s/"/\\"/g' || true)
   if [[ -f "$BUILD_DIR/CMakeCache.txt" ]]; then
     compiler=$(grep -m1 '^CMAKE_CXX_COMPILER:' "$BUILD_DIR/CMakeCache.txt" |
       cut -d= -f2- || true)
+    build_type=$(grep -m1 '^CMAKE_BUILD_TYPE:' "$BUILD_DIR/CMakeCache.txt" |
+      cut -d= -f2- || true)
   fi
   compiler=$("${compiler:-c++}" --version 2>/dev/null | head -1 |
     sed 's/"/\\"/g' || true)
-  printf '{"nproc": %s, "cpu_model": "%s", "compiler": "%s"}' \
-    "$(nproc)" "${cpu:-unknown}" "${compiler:-unknown}"
+  # The library's effective compile flags, as the generator wrote them
+  # (the build type's flags included; per-file -O3 overrides are not).
+  local flags_file="$BUILD_DIR/src/CMakeFiles/knmatch.dir/flags.make"
+  if [[ -f "$flags_file" ]]; then
+    flags=$(sed -n 's/^CXX_FLAGS = //p' "$flags_file" | head -1 |
+      tr -s ' ' | sed 's/ *$//; s/"/\\"/g' || true)
+  fi
+  # An empty cached build type means the top-level CMakeLists.txt's
+  # default.
+  printf '{"nproc": %s, "cpu_model": "%s", "compiler": "%s", "build_type": "%s", "cxx_flags": "%s"}' \
+    "$(nproc)" "${cpu:-unknown}" "${compiler:-unknown}" \
+    "${build_type:-RelWithDebInfo}" "${flags:-unknown}"
 }
 
 # A gated lane missing from the fresh run: WARN by default (the lane may

@@ -85,7 +85,8 @@ Result<KnMatchResult> IDistanceIndex::Knn(std::span<const Value> query,
 
   BoundedTopK<PointId, Value, PointId> top(k);
   last_points_examined_ = 0;
-  const size_t stream = tree_.OpenStream();
+  const DiskSimulator::StreamLease streams = tree_.OpenStreams(1);
+  const size_t stream = streams[0];
 
   auto scan_keys = [&](Value lo, Value hi) {
     // Examine every entry with lo <= key <= hi.

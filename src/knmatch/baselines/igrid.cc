@@ -93,6 +93,15 @@ Result<KnMatchResult> IGridIndex::Search(std::span<const Value> query,
   const size_t d = db_.dims();
   std::vector<Value> similarity(db_.size(), Value{0});
   uint64_t entries_read = 0;
+  // One leased stream, rewound wherever the layout seeks: rewound, it
+  // charges exactly what a freshly opened stream would.
+  const DiskSimulator::StreamLease streams(disk_, 1);
+  const size_t stream = streams[0];
+  bool stream_fresh = true;
+  const auto seek = [&] {
+    if (!stream_fresh) disk_->RewindStream(stream);
+    stream_fresh = false;
+  };
 
   for (size_t dim = 0; dim < d; ++dim) {
     const size_t r = LocateRange(dim, query[dim]);
@@ -108,11 +117,12 @@ Result<KnMatchResult> IGridIndex::Search(std::span<const Value> query,
         // The layout the paper measured: list fragments scattered over
         // the file, every page its own seek.
         for (size_t pg = 0; pg < loc.num_pages; ++pg) {
-          file_->ReadPage(disk_->OpenStream(), loc.first_page + pg);
+          seek();
+          file_->ReadPage(stream, loc.first_page + pg);
         }
       } else {
         // Idealized contiguous layout: one seek, then sequential.
-        const size_t stream = disk_->OpenStream();
+        seek();
         for (size_t pg = 0; pg < loc.num_pages; ++pg) {
           file_->ReadPage(stream, loc.first_page + pg);
         }

@@ -285,7 +285,8 @@ Result<KnMatchResult> RTree::Knn(std::span<const Value> query,
     return Status::InvalidArgument("k exceeds the number of points");
   }
 
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskSimulator::StreamLease streams(disk_, 1);
+  const size_t stream = streams[0];
   last_nodes_visited_ = 0;
 
   struct QueueItem {
@@ -335,7 +336,8 @@ std::vector<PointId> RTree::RangeQuery(std::span<const Value> lo,
                                        std::span<const Value> hi) const {
   std::vector<PointId> result;
   if (root_ == kInvalid) return result;
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskSimulator::StreamLease streams(disk_, 1);
+  const size_t stream = streams[0];
   std::vector<uint32_t> stack = {root_};
   while (!stack.empty()) {
     const uint32_t id = stack.back();

@@ -202,7 +202,8 @@ Result<KnMatchResult> SsTree::Knn(std::span<const Value> query,
     return Status::InvalidArgument("k exceeds the number of points");
   }
 
-  const size_t stream = disk_ != nullptr ? disk_->OpenStream() : 0;
+  const DiskSimulator::StreamLease streams(disk_, 1);
+  const size_t stream = streams[0];
   last_nodes_visited_ = 0;
 
   struct QueueItem {

@@ -56,12 +56,26 @@ concept DirectColumnAccessor =
       { a.pids(dim) } -> std::convertible_to<std::span<const PointId>>;
     };
 
+/// Detected on accessors over B+-tree columns that hand out their leaves
+/// (see AdKernel's accessor contract). The kernel then runs the
+/// band-synchronous ascend with each cursor walking its current leaf in
+/// place, and charges every leaf visit at delivery.
+template <typename A>
+concept LeafWalkingAccessor =
+    requires(A a, uint32_t slot, size_t* offset, bool outward) {
+      { a.SeekLeaf(slot, offset) }
+          -> std::convertible_to<std::span<const ColumnEntry>>;
+      { a.StepLeaf(slot, outward) }
+          -> std::convertible_to<std::span<const ColumnEntry>>;
+      a.ChargeLeafStep(slot);
+    };
+
 /// The stepping core of the AD (Ascending Difference) algorithm. It has
 /// two drive paths, picked by the accessor type; each serves both
 /// Drive() and Step().
 ///
 /// **Band-synchronous ascend** (DirectColumnAccessor: columns are plain
-/// memory). Near a query the mean run — consecutive pops from one
+/// memory; LeafWalkingAccessor: B+-tree leaves). Near a query the mean run — consecutive pops from one
 /// cursor — is about one entry, so per-pop winner selection is a
 /// serial chain on every pop. Instead each round picks a threshold
 /// T above the smallest cursor front, emits every entry with
@@ -79,10 +93,18 @@ concept DirectColumnAccessor =
 /// tie group larger than the buffer is split, at a point where its
 /// emission order already is its pop order (see EmitCursor).
 ///
-/// **Block-ascending kernel** (everything else: paged disk, packed,
-/// B+-tree and snapshot columns, whose page-read order is part of the
-/// simulated-I/O contract), built around three ideas from the
-/// external-merge literature —
+/// Over B+-tree columns each cursor walks its current leaf's entries in
+/// place and moves to the next non-empty leaf with an uncharged read.
+/// The leaf pages are charged where the heap engine's iterator reads
+/// them: at delivery of the pop whose replacement is a leaf's first
+/// entry, before the sink sees that pop. Page counts, injected faults
+/// and page-budget trips therefore land on the same pop as on the heap
+/// engine, and leaves emitted but never delivered are never charged.
+///
+/// **Block-ascending kernel** (everything else: paged disk and packed
+/// columns, whose page-read order is part of the simulated-I/O
+/// contract), built around three ideas from the external-merge
+/// literature —
 ///
 ///   1. a loser (tournament) tree over the 2d direction cursors instead
 ///      of a binary heap: advancing the winning cursor is one
@@ -123,6 +145,19 @@ concept DirectColumnAccessor =
 ///                  Value* values, PointId* pids);
 ///
 /// and/or `column_length(dim)` for ragged columns, as on AdEngine.
+/// A LeafWalkingAccessor (tree columns) provides instead of ReadEntry:
+///
+///   // Positions `slot`'s cursor on its first entry with the charged
+///   // seek the heap engine's first ReadEntry pays; returns the leaf
+///   // holding it, with the entry's index in `*offset` (empty, with a
+///   // latched status(), when the seek failed).
+///   std::span<const ColumnEntry> SeekLeaf(uint32_t slot, size_t* offset);
+///   // The next non-empty leaf beyond the cursor's walk position,
+///   // outward (away from the query) or back inward, read uncharged.
+///   std::span<const ColumnEntry> StepLeaf(uint32_t slot, bool outward);
+///   // Charges the leaf visits of `slot`'s next delivered leaf crossing,
+///   // latching a failed read in status().
+///   void ChargeLeafStep(uint32_t slot);
 template <typename Accessor>
 class AdKernel {
  public:
@@ -133,9 +168,14 @@ class AdKernel {
     uint16_t appearances;
   };
 
+  /// True when the band-synchronous ascend walks B+-tree leaves.
+  static constexpr bool kLeafPath =
+      !DirectColumnAccessor<Accessor> && LeafWalkingAccessor<Accessor>;
   /// True when the kernel runs the band-synchronous ascend
-  /// (DirectColumnAccessor), false for the block kernel.
-  static constexpr bool kBandPath = DirectColumnAccessor<Accessor>;
+  /// (DirectColumnAccessor or LeafWalkingAccessor), false for the block
+  /// kernel.
+  static constexpr bool kBandPath =
+      DirectColumnAccessor<Accessor> || kLeafPath;
 
   AdKernel(Accessor& accessor, std::span<const Value> query,
            std::span<const Value> weights = {}, AdScratch* scratch = nullptr)
@@ -160,6 +200,7 @@ class AdKernel {
     cur_dif_ = scratch_->cur_difs();
     if constexpr (kBandPath) {
       scratch_->PrepareBand();
+      if constexpr (kLeafPath) leaf_ = scratch_->leaf_cursors();
     } else {
       cur_pid_ = scratch_->cur_pids();
       buf_pos_ = scratch_->buf_pos();
@@ -178,6 +219,7 @@ class AdKernel {
       if constexpr (kBandPath) {
         LoadFront(down);
         LoadFront(up);
+        if (AccessorFailed()) return;
       } else {
         buf_pos_[down] = buf_len_[down] = 0;
         buf_pos_[up] = buf_len_[up] = 0;
@@ -253,32 +295,40 @@ class AdKernel {
   /// tree replay per pop and no runner-up computation.
   std::optional<Pop> Step() {
     if constexpr (kBandPath) {
+      if (AccessorFailed()) return std::nullopt;
       if (band_pos_ == band_len_ && !NextBand()) return std::nullopt;
       const AdBandEntry& e = band_out_[band_pos_++];
+      if constexpr (kLeafPath) {
+        if (e.tag & 2) {
+          acc_.ChargeLeafStep(e.tag >> kTagShift);
+          if (AccessorFailed()) return std::nullopt;
+        }
+      }
       attributes_retrieved_ += e.tag & 1;
       return Pop{e.pid, e.dif, scratch_->BumpAppearances(e.pid)};
-    }
-    if (AccessorFailed()) return std::nullopt;
-    uint32_t w;
-    if (use_scan_) {
-      Value ru_unused, x2_unused, x3_unused;
-      w = ScanWinner(&ru_unused, &x2_unused, &x3_unused);
     } else {
-      w = tree_->winner();
+      if (AccessorFailed()) return std::nullopt;
+      uint32_t w;
+      if (use_scan_) {
+        Value ru_unused, x2_unused, x3_unused;
+        w = ScanWinner(&ru_unused, &x2_unused, &x3_unused);
+      } else {
+        w = tree_->winner();
+      }
+      if (cur_dif_[w] == kInfValue) return std::nullopt;
+      const PointId pid = cur_pid_[w];
+      const Value dif = cur_dif_[w];
+      const uint16_t a = scratch_->BumpAppearances(pid);
+      Advance(w);
+      if (AccessorFailed()) return std::nullopt;
+      if (use_scan_) {
+        UpdatePairMin(w);
+      } else {
+        tree_->Replay(w, cur_dif_);
+      }
+      ++tree_replays_;
+      return Pop{pid, dif, a};
     }
-    if (cur_dif_[w] == kInfValue) return std::nullopt;
-    const PointId pid = cur_pid_[w];
-    const Value dif = cur_dif_[w];
-    const uint16_t a = scratch_->BumpAppearances(pid);
-    Advance(w);
-    if (AccessorFailed()) return std::nullopt;
-    if (use_scan_) {
-      UpdatePairMin(w);
-    } else {
-      tree_->Replay(w, cur_dif_);
-    }
-    ++tree_replays_;
-    return Pop{pid, dif, a};
   }
 
   /// Attributes retrieved so far: each cursor's first entry plus one
@@ -361,11 +411,15 @@ class AdKernel {
   /// insertion pass; larger unsorted buckets are merge-sorted first.
   static constexpr size_t kBandInsertionLimit = 32;
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// A band entry's tag holds its slot above this many flag bits (see
+  /// AdBandEntry).
+  static constexpr uint32_t kTagShift = kLeafPath ? 2 : 1;
 
-  // ---- Band path (DirectColumnAccessor) --------------------------------
+  // ---- Band path (DirectColumnAccessor, LeafWalkingAccessor) -----------
 
   template <typename Sink, typename OnDue>
   void DriveBand(Sink&& sink, uint64_t due, OnDue&& on_due) {
+    if (AccessorFailed()) return;
     // Run statistics ride along: a run is a maximal stretch of
     // consecutive deliveries from one slot, across bands. Most runs are
     // one entry long and cost nothing beyond the slot compare: only
@@ -385,12 +439,25 @@ class AdKernel {
       bool stop = false;
       while (e != end) {
         const AdBandEntry& x = *e++;
+        if constexpr (kLeafPath) {
+          // The replacement opens the next leaf: its page is read now,
+          // as the heap engine's iterator reads it. A failed read ends
+          // the drive with this pop undelivered, as on AdEngine::Step.
+          if (x.tag & 2) [[unlikely]] {
+            acc_.ChargeLeafStep(x.tag >> kTagShift);
+            if (AccessorFailed()) {
+              --e;
+              stop = true;
+              break;
+            }
+          }
+        }
         // Charged before the sink sees the pop — the moment the heap
         // engine reads the replacement — so on_due() after it observes
         // the heap engine's attribute count.
         attributes_retrieved_ += x.tag & 1;
         const uint16_t a = scratch_->BumpAppearances(x.pid);
-        if (const uint32_t slot = x.tag >> 1; slot != run_slot) {
+        if (const uint32_t slot = x.tag >> kTagShift; slot != run_slot) {
           if (run_len > 1) [[unlikely]] {
             RecordLongRun(run_len, long_run_entries);
           }
@@ -429,25 +496,40 @@ class AdKernel {
     return weights_.empty() ? Value{1} : weights_[dim];
   }
 
-  /// The (weighted) difference of entry `idx` of `slot`'s column,
+  /// The (weighted) difference of value `v` on `slot`'s cursor,
   /// computed exactly as the reference engine computes it.
-  Value DifAt(uint32_t slot, size_t idx) const {
+  Value EntryDif(uint32_t slot, Value v) const {
     const size_t dim = slot / 2;
-    const Value v = acc_.values(dim)[idx];
     return (slot % 2 == 0 ? query_[dim] - v : v - query_[dim]) *
            WeightOf(dim);
   }
 
+  /// EntryDif of entry `idx` of `slot`'s in-memory column.
+  Value DifAt(uint32_t slot, size_t idx) const {
+    return EntryDif(slot, acc_.values(slot / 2)[idx]);
+  }
+
   /// Loads `slot`'s first entry as its cursor front, charging it — the
-  /// heap engine's initial read.
+  /// heap engine's initial read (over tree columns, also its seek).
   void LoadFront(uint32_t slot) {
     const size_t idx = next_idx_[slot];
     if (idx == kExhausted) {
       cur_dif_[slot] = kInfValue;
       return;
     }
-    ++attributes_retrieved_;
-    cur_dif_[slot] = DifAt(slot, idx);
+    if constexpr (kLeafPath) {
+      size_t off = 0;
+      const std::span<const ColumnEntry> leaf = acc_.SeekLeaf(slot, &off);
+      if (AccessorFailed()) return;
+      leaf_[slot] = AdLeafCursor{leaf.data(),
+                                 static_cast<uint32_t>(leaf.size()),
+                                 static_cast<uint32_t>(off)};
+      ++attributes_retrieved_;
+      cur_dif_[slot] = EntryDif(slot, leaf[off].value);
+    } else {
+      ++attributes_retrieved_;
+      cur_dif_[slot] = DifAt(slot, idx);
+    }
   }
 
   /// First band width: the density probe. Each live cursor's entry
@@ -455,20 +537,38 @@ class AdKernel {
   /// difference); the width that would cover kAdBandTarget entries at
   /// the summed rate. 0 when every probe lands on a tie with its front
   /// (NextBand then emits just the tie group at the lowest front).
+  ///
+  /// Over tree columns the probe stays inside the front's leaf.
   Value ProbeWidth() const {
     Value rate = 0;
     for (uint32_t slot = 0; slot < slots_; ++slot) {
       const size_t idx = next_idx_[slot];
       if (idx == kExhausted) continue;
-      const size_t beyond = slot % 2 == 0
-                                ? idx
-                                : acc_.values(slot / 2).size() - 1 - idx;
-      const size_t depth = std::min(beyond, kBandProbeDepth);
-      if (depth == 0) continue;
-      const Value span =
-          DifAt(slot, slot % 2 == 0 ? idx - depth : idx + depth) -
-          cur_dif_[slot];
-      if (span > 0) rate += static_cast<Value>(depth) / span;
+      if constexpr (kLeafPath) {
+        const AdLeafCursor& c = leaf_[slot];
+        const size_t beyond = slot % 2 == 0
+                                  ? std::min<size_t>(idx, c.off)
+                                  : std::min<size_t>(c_ - 1 - idx,
+                                                     c.size - 1 - c.off);
+        const size_t depth = std::min(beyond, kBandProbeDepth);
+        if (depth == 0) continue;
+        const Value span =
+            EntryDif(slot, c.entries[slot % 2 == 0 ? c.off - depth
+                                                   : c.off + depth]
+                               .value) -
+            cur_dif_[slot];
+        if (span > 0) rate += static_cast<Value>(depth) / span;
+      } else {
+        const size_t beyond = slot % 2 == 0
+                                  ? idx
+                                  : acc_.values(slot / 2).size() - 1 - idx;
+        const size_t depth = std::min(beyond, kBandProbeDepth);
+        if (depth == 0) continue;
+        const Value span =
+            DifAt(slot, slot % 2 == 0 ? idx - depth : idx + depth) -
+            cur_dif_[slot];
+        if (span > 0) rate += static_cast<Value>(depth) / span;
+      }
     }
     return rate > 0 ? static_cast<Value>(kAdBandTarget) / rate : Value{0};
   }
@@ -491,8 +591,14 @@ class AdKernel {
     size_t n = 0;
     Value hi = lo;
     for (uint32_t slot = 0; slot < slots_; ++slot) {
-      const bool full = slot % 2 == 0 ? EmitCursor<false>(slot, lo, t, n, hi)
-                                      : EmitCursor<true>(slot, lo, t, n, hi);
+      bool full;
+      if constexpr (kLeafPath) {
+        full = slot % 2 == 0 ? EmitLeafCursor<false>(slot, lo, t, n, hi)
+                             : EmitLeafCursor<true>(slot, lo, t, n, hi);
+      } else {
+        full = slot % 2 == 0 ? EmitCursor<false>(slot, lo, t, n, hi)
+                             : EmitCursor<true>(slot, lo, t, n, hi);
+      }
       if (full) break;
     }
     SortBand(n, lo, hi);
@@ -533,7 +639,7 @@ class AdKernel {
     const size_t len = acc_.values(dim).size();
     const Value q = query_[dim];
     const Value w = WeightOf(dim);
-    const uint32_t tag = slot << 1;
+    const uint32_t tag = slot << kTagShift;
     AdBandEntry* const band = scratch_->band();
     Value last = hi;
     // The one band-membership test: strictly below t (an exhausted
@@ -569,6 +675,88 @@ class AdKernel {
     return false;
   }
 
+  /// EmitCursor over a tree column: the same walk and band-membership
+  /// test, reading the front's leaf in place. An entry whose successor
+  /// lies in the next leaf is tagged `crosses`; the walk then moves on
+  /// to that leaf uncharged, and delivery charges it. An exhausted
+  /// cursor's leaf position stays on its last entry (ShrinkBand's
+  /// rewind counts from there).
+  template <bool kUp>
+  bool EmitLeafCursor(uint32_t slot, Value lo, Value& t, size_t& n,
+                      Value& hi) {
+    Value dif = cur_dif_[slot];
+    size_t idx = next_idx_[slot];
+    AdLeafCursor c = leaf_[slot];
+    const Value q = query_[slot / 2];
+    const Value w = WeightOf(slot / 2);
+    const uint32_t tag = slot << kTagShift;
+    AdBandEntry* const band = scratch_->band();
+    Value last = hi;
+    while (dif < t) {
+      if (n == kAdBandCapacity) [[unlikely]] {
+        next_idx_[slot] = idx;
+        cur_dif_[slot] = dif;
+        leaf_[slot] = c;
+        t = dif > lo ? dif : std::nextafter(lo, kInfValue);
+        last = hi = ShrinkBand(lo, t, n);
+        idx = next_idx_[slot];
+        dif = cur_dif_[slot];
+        c = leaf_[slot];
+        if (n == kAdBandCapacity) return dif < t;
+        continue;
+      }
+      const PointId pid = c.entries[c.off].pid;
+      scratch_->PrefetchAppearances(pid);
+      const bool more = kUp ? idx + 1 < c_ : idx > 0;
+      const bool crosses = more && (kUp ? c.off + 1 == c.size : c.off == 0);
+      band[n++] = AdBandEntry{dif, pid,
+                              tag | static_cast<uint32_t>(crosses) << 1 |
+                                  static_cast<uint32_t>(more)};
+      last = dif;
+      if (!more) {
+        idx = kExhausted;
+        dif = kInfValue;
+        break;
+      }
+      idx = kUp ? idx + 1 : idx - 1;
+      if (crosses) [[unlikely]] {
+        const std::span<const ColumnEntry> leaf =
+            acc_.StepLeaf(slot, /*outward=*/true);
+        assert(!leaf.empty() && "the index promised another entry");
+        c = AdLeafCursor{leaf.data(), static_cast<uint32_t>(leaf.size()),
+                         kUp ? 0u : static_cast<uint32_t>(leaf.size() - 1)};
+      } else {
+        c.off = kUp ? c.off + 1 : c.off - 1;
+      }
+      const Value v = c.entries[c.off].value;
+      dif = (kUp ? v - q : q - v) * w;
+    }
+    hi = std::max(hi, last);
+    next_idx_[slot] = idx;
+    cur_dif_[slot] = dif;
+    leaf_[slot] = c;
+    return false;
+  }
+
+  /// Moves `slot`'s leaf position `steps` entries back toward the query
+  /// (ShrinkBand's rewind over tree columns), stepping leaves uncharged.
+  void RewindLeaf(uint32_t slot, size_t steps) {
+    AdLeafCursor& c = leaf_[slot];
+    const bool up = slot % 2 == 1;
+    for (;;) {
+      const size_t room = up ? c.off : c.size - 1 - c.off;
+      if (steps <= room) {
+        c.off = static_cast<uint32_t>(up ? c.off - steps : c.off + steps);
+        return;
+      }
+      steps -= room + 1;
+      const std::span<const ColumnEntry> leaf =
+          acc_.StepLeaf(slot, /*outward=*/false);
+      c = AdLeafCursor{leaf.data(), static_cast<uint32_t>(leaf.size()),
+                       up ? static_cast<uint32_t>(leaf.size() - 1) : 0u};
+    }
+  }
+
   /// Drops the n emitted entries at or above `t` and rewinds their
   /// cursors. Each slot's entries are one contiguous run, ascending, so
   /// the dropped ones are a suffix of it and the slot's front moves back
@@ -579,9 +767,9 @@ class AdKernel {
     Value hi = lo;
     size_t kept = 0;
     for (size_t i = 0; i < n;) {
-      const uint32_t slot = band[i].tag >> 1;
+      const uint32_t slot = band[i].tag >> kTagShift;
       size_t end = i;
-      while (end < n && band[end].tag >> 1 == slot) ++end;
+      while (end < n && band[end].tag >> kTagShift == slot) ++end;
       size_t cut = i;
       while (cut < end && band[cut].dif < t) ++cut;
       if (cut > i) hi = std::max(hi, band[cut - 1].dif);
@@ -589,10 +777,13 @@ class AdKernel {
         // band[cut] is read before any later run is compacted over it.
         const size_t dropped = end - cut;
         size_t& idx = next_idx_[slot];
+        if constexpr (kLeafPath) {
+          RewindLeaf(slot, idx == kExhausted ? dropped - 1 : dropped);
+        }
         if (slot % 2 == 0) {
           idx = idx == kExhausted ? dropped - 1 : idx + dropped;
         } else {
-          idx = (idx == kExhausted ? acc_.values(slot / 2).size() : idx) -
+          idx = (idx == kExhausted ? ColumnEntries(slot / 2) : idx) -
                 dropped;
         }
         cur_dif_[slot] = band[cut].dif;
@@ -971,6 +1162,16 @@ class AdKernel {
     return w;
   }
 
+  /// Entries in `dim`'s column on the band path.
+  size_t ColumnEntries(size_t dim) const {
+    if constexpr (kLeafPath) {
+      (void)dim;
+      return c_;
+    } else {
+      return acc_.values(dim).size();
+    }
+  }
+
   size_t ColumnLength(size_t dim) const {
     if constexpr (requires(const Accessor& a, size_t i) {
                     { a.column_length(i) } -> std::convertible_to<size_t>;
@@ -1078,6 +1279,7 @@ class AdKernel {
   uint32_t* buf_pos_ = nullptr;
   uint32_t* buf_len_ = nullptr;
   Value* pair_min_ = nullptr;  // scan path only
+  AdLeafCursor* leaf_ = nullptr;  // tree band path only
   // Band path only: the requested width (0 = probe before the next
   // band) and the staged band in delivery order.
   Value band_width_ = 0;

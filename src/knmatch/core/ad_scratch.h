@@ -34,11 +34,21 @@ inline constexpr size_t kAdBandMaxBuckets = 1024;
 /// One emitted entry of an ascend band: its (weighted) difference, the
 /// point, and `slot << 1 | has_next` — the cursor it came from and
 /// whether that cursor holds another entry beyond it (the attribute the
-/// heap engine would read as this entry's replacement).
+/// heap engine would read as this entry's replacement). Over B+-tree
+/// columns the tag is `slot << 2 | crosses << 1 | has_next`, where
+/// `crosses` marks a replacement that lies in the next leaf.
 struct AdBandEntry {
   Value dif;
   PointId pid;
   uint32_t tag;
+};
+
+/// A band-path cursor over B+-tree columns: the leaf it walks in place
+/// (entries in key order) and the index of its front entry in it.
+struct AdLeafCursor {
+  const ColumnEntry* entries;
+  uint32_t size;
+  uint32_t off;
 };
 
 /// One attribute sitting in the AD cursor front: its (weighted)
@@ -205,7 +215,8 @@ class AdLoserTree {
 /// counters, the 2d cursor positions, the cursor-front heap (reference
 /// engine), the loser tree + SoA cursor state + run read-ahead buffers
 /// (block-ascending kernel over paged columns), and the band buffers
-/// (band-synchronous ascend over in-memory columns).
+/// plus tree leaf cursors (band-synchronous ascend over in-memory and
+/// tree columns).
 ///
 /// A fresh AdEngine used to zero-initialize an O(cardinality) `appear_`
 /// vector per query — per-query setup cost that dwarfs the attribute
@@ -232,9 +243,9 @@ class AdScratch {
     const size_t slots = 2 * dims;
     size_t bytes = cardinality * sizeof(uint32_t);  // appearance table
     // Per-slot cursor state: next_idx, cur_dif, cur_pid, buf_pos,
-    // buf_len.
+    // buf_len, and the tree band path's leaf cursor.
     bytes += slots * (sizeof(size_t) + sizeof(Value) + sizeof(PointId) +
-                      2 * sizeof(uint32_t));
+                      2 * sizeof(uint32_t) + sizeof(AdLeafCursor));
     // Read-ahead buffers (SoA), heap items, loser-tree nodes, pair
     // minima.
     bytes += slots * kAdRunBlock * (sizeof(Value) + sizeof(PointId));
@@ -271,6 +282,7 @@ class AdScratch {
       cur_pid_.resize(slots);
       buf_pos_.resize(slots);
       buf_len_.resize(slots);
+      leaf_cursor_.resize(slots);
       buf_values_.resize(slots * kAdRunBlock);
       buf_pids_.resize(slots * kAdRunBlock);
       pair_min_.resize(padded_pairs);
@@ -344,6 +356,7 @@ class AdScratch {
   PointId* cur_pids() { return cur_pid_.data(); }
   uint32_t* buf_pos() { return buf_pos_.data(); }
   uint32_t* buf_len() { return buf_len_.data(); }
+  AdLeafCursor* leaf_cursors() { return leaf_cursor_.data(); }
   /// Read-ahead buffers, kAdRunBlock entries per slot.
   Value* buf_values(uint32_t slot) {
     return buf_values_.data() + size_t{slot} * kAdRunBlock;
@@ -390,6 +403,7 @@ class AdScratch {
   std::vector<PointId> cur_pid_;
   std::vector<uint32_t> buf_pos_;
   std::vector<uint32_t> buf_len_;
+  std::vector<AdLeafCursor> leaf_cursor_;
   std::vector<Value> buf_values_;
   std::vector<PointId> buf_pids_;
   std::vector<Value> pair_min_;

@@ -23,8 +23,9 @@ struct QueryBudgets {
   /// Attributes retrieved (the paper's cost metric; scans charge c*d
   /// as they stream rows).
   uint64_t max_attributes = 0;
-  /// Physical page reads on the simulated disk, counted from the
-  /// moment the query arms its context on the store's DiskSimulator.
+  /// Physical page reads on the simulated disk by this query alone,
+  /// counted from the moment it arms its context (ArmPages); reads by
+  /// concurrent queries and writers never count against it.
   uint64_t max_pages = 0;
   /// Working-memory footprint of the AD scratch arena; checked once at
   /// admission, before anything is allocated.
@@ -154,12 +155,15 @@ class QueryContext {
     return has_deadline_ || cancel_ != nullptr || budgets_.any();
   }
 
-  /// Points page accounting at the store's simulator and snapshots its
-  /// counter, so max_pages bounds the pages THIS query reads. Engines
-  /// call it on entry; pass nullptr for memory-only methods.
+  /// Arms page accounting for a query over `disk`'s stores: snapshots
+  /// the calling thread's read counter (DiskSimulator::thread_reads),
+  /// so max_pages bounds the pages THIS query reads — a query runs on
+  /// the thread that arms it — and concurrent readers or a writer on
+  /// the same simulator never count against it. Engines call it on
+  /// entry; pass nullptr for memory-only methods.
   void ArmPages(const DiskSimulator* disk) {
-    disk_ = disk;
-    page_base_ = disk != nullptr ? disk->total_reads() : 0;
+    pages_armed_ = disk != nullptr;
+    page_base_ = pages_armed_ ? DiskSimulator::thread_reads() : 0;
   }
 
   /// Clears the trip and restarts a duration deadline from now; page
@@ -207,8 +211,8 @@ class QueryContext {
     if (tripped()) return false;
     trip_.attributes_retrieved = attributes;
     trip_.pops = pops;
-    if (disk_ != nullptr) {
-      trip_.pages_read = disk_->total_reads() - page_base_;
+    if (pages_armed_) {
+      trip_.pages_read = DiskSimulator::thread_reads() - page_base_;
     }
     if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
       Trip(Status::Unavailable("query cancelled"),
@@ -280,7 +284,7 @@ class QueryContext {
   bool has_deadline_ = false;
   Clock::time_point start_;
   Clock::time_point deadline_;
-  const DiskSimulator* disk_ = nullptr;
+  bool pages_armed_ = false;
   uint64_t page_base_ = 0;
   Status trip_status_;
   GovernanceTrip trip_;

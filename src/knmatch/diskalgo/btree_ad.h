@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "knmatch/common/dataset.h"
 #include "knmatch/common/status.h"
 #include "knmatch/storage/bplus_tree.h"
+#include "knmatch/storage/ingest.h"
 
 namespace knmatch {
 
@@ -57,19 +59,30 @@ class BTreeColumns {
 /// in the trees — it sizes the AD search's per-point appearance table.
 class SnapshotColumns {
  public:
+  /// Holds its own copy of `trees` (quiesced mirrors, tests).
   explicit SnapshotColumns(std::vector<BPlusTree::Snapshot> trees,
                            size_t pid_bound = 0)
-      : trees_(std::move(trees)), pid_bound_(pid_bound) {}
+      : trees_(std::make_shared<const std::vector<BPlusTree::Snapshot>>(
+            std::move(trees))),
+        pid_bound_(pid_bound) {}
+  /// Reads a pinned epoch's trees in place and keeps the epoch pinned
+  /// for as long as the columns (or a copy) live: a live query copies
+  /// no snapshot.
+  explicit SnapshotColumns(
+      std::shared_ptr<const LiveColumnIndex::ColumnSnapshot> pinned)
+      : trees_(pinned, &pinned->trees), pid_bound_(pinned->pid_bound) {}
 
-  size_t dims() const { return trees_.size(); }
+  size_t dims() const { return trees_->size(); }
   size_t column_size() const {
-    return trees_.empty() ? 0 : trees_[0].size();
+    return trees_->empty() ? 0 : (*trees_)[0].size();
   }
   size_t pid_bound() const { return std::max(pid_bound_, column_size()); }
-  const BPlusTree::Snapshot& tree(size_t dim) const { return trees_[dim]; }
+  const BPlusTree::Snapshot& tree(size_t dim) const {
+    return (*trees_)[dim];
+  }
 
  private:
-  std::vector<BPlusTree::Snapshot> trees_;
+  std::shared_ptr<const std::vector<BPlusTree::Snapshot>> trees_;
   size_t pid_bound_ = 0;
 };
 

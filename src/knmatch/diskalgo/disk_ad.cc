@@ -1,12 +1,11 @@
 #include "knmatch/diskalgo/disk_ad.h"
 
-#include <cassert>
 #include <span>
-#include <vector>
 
 #include "knmatch/core/ad_engine.h"
 #include "knmatch/core/ad_frontend.h"
 #include "knmatch/core/query_context.h"
+#include "knmatch/diskalgo/btree_accessor.h"
 #include "knmatch/obs/catalog.h"
 
 namespace knmatch {
@@ -22,12 +21,8 @@ namespace {
 template <typename Store>
 class PagedColumnAccessor {
  public:
-  explicit PagedColumnAccessor(const Store& columns) : columns_(columns) {
-    streams_.reserve(2 * columns.dims());
-    for (size_t i = 0; i < 2 * columns.dims(); ++i) {
-      streams_.push_back(columns.OpenStream());
-    }
-  }
+  explicit PagedColumnAccessor(const Store& columns)
+      : columns_(columns), streams_(columns.OpenStreams(2 * columns.dims())) {}
 
   size_t dims() const { return columns_.dims(); }
   size_t column_size() const { return columns_.column_size(); }
@@ -66,92 +61,7 @@ class PagedColumnAccessor {
 
  private:
   const Store& columns_;
-  std::vector<size_t> streams_;
-  Status status_;
-};
-
-/// AD-engine accessor over per-dimension B+-tree columns. Each cursor
-/// direction owns a tree iterator and an I/O stream; the engine's
-/// strictly sequential per-slot access pattern (one step outward per
-/// refill) maps to Prev()/Next() leaf walks.
-///
-/// `Columns` is BTreeColumns (live trees) or SnapshotColumns (frozen
-/// epoch of the ingest index) — both expose dims()/column_size() and a
-/// tree(dim) whose seeks and iterators share one interface.
-template <typename Columns>
-class BTreeColumnAccessor {
- public:
-  BTreeColumnAccessor(const Columns& columns,
-                      std::span<const Value> query)
-      : columns_(columns),
-        query_(query),
-        cursors_(2 * columns.dims()) {}
-
-  size_t dims() const { return columns_.dims(); }
-  size_t column_size() const { return columns_.column_size(); }
-  size_t pid_bound() const {
-    if constexpr (requires { columns_.pid_bound(); }) {
-      return columns_.pid_bound();
-    } else {
-      return columns_.column_size();
-    }
-  }
-
-  ColumnEntry ReadEntry(size_t dim, size_t idx, uint32_t slot) {
-    Cursor& cursor = cursors_[slot];
-    if (!cursor.started) {
-      cursor.started = true;
-      cursor.stream = columns_.tree(dim).OpenStream();
-      cursor.it = slot % 2 == 0
-                      ? columns_.tree(dim).SeekBefore(cursor.stream,
-                                                      query_[dim])
-                      : columns_.tree(dim).SeekLowerBound(cursor.stream,
-                                                          query_[dim]);
-    } else {
-      if (slot % 2 == 0) {
-        cursor.it.Prev();
-      } else {
-        cursor.it.Next();
-      }
-    }
-    if (!cursor.it.status().ok()) {
-      status_ = cursor.it.status();
-      return ColumnEntry{};  // discarded once the engine sees status()
-    }
-    assert(cursor.it.Valid() && "engine asked past the column end");
-    (void)idx;
-    return cursor.it.Get();
-  }
-
-  size_t LocateLowerBound(size_t dim, Value v) {
-    // A real root-to-leaf index traversal, charged to a per-query
-    // locate stream (unlike the ColumnStore's free in-memory
-    // directory).
-    if (locate_stream_ == kNoStream) {
-      locate_stream_ = columns_.tree(dim).OpenStream();
-    }
-    Result<size_t> rank = columns_.tree(dim).RankOf(locate_stream_, v);
-    if (!rank.ok()) {
-      status_ = rank.status();
-      return 0;
-    }
-    return rank.value();
-  }
-
-  /// First traversal failure, latched; the engine stops once non-OK.
-  const Status& status() const { return status_; }
-
- private:
-  static constexpr size_t kNoStream = static_cast<size_t>(-1);
-  struct Cursor {
-    bool started = false;
-    size_t stream = 0;
-    BPlusTree::Iterator it;
-  };
-  const Columns& columns_;
-  std::span<const Value> query_;
-  std::vector<Cursor> cursors_;
-  size_t locate_stream_ = kNoStream;
+  DiskSimulator::StreamLease streams_;
   Status status_;
 };
 
@@ -172,7 +82,7 @@ Result<R> DiskAdQuery(const Columns& columns, std::span<const Value> query,
         const obs::Catalog& cat = obs::Cat();
         if constexpr (kTreeColumns<Columns>) {
           if (ctx != nullptr) ctx->ArmPages(columns.tree(0).disk());
-          BTreeColumnAccessor<Columns> acc(columns, query);
+          internal::BTreeColumnAccessor<Columns> acc(columns, query);
           o = internal::RunAdSearch(acc, query, n0, n1, k, {}, nullptr, ctx);
           cat.attrs_ad_btree->Add(o.attributes_retrieved);
           cat.pops_ad_btree->Add(o.heap_pops);

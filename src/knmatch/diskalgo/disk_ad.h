@@ -32,8 +32,8 @@ class QueryContext;
 /// to the in-memory AdSearcher. Page-access counts and modelled I/O
 /// time are read off the shared DiskSimulator by the caller (reset its
 /// counters around a query). Concurrent queries are safe while the
-/// columns do not change: each call opens its own I/O streams on the
-/// thread-safe simulator.
+/// columns do not change: each call leases its own I/O streams on the
+/// thread-safe simulator and releases them when it returns.
 ///
 /// Class template argument deduction picks the organization:
 /// `DiskAdSearcher ad(columns);`.

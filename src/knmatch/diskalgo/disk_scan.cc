@@ -59,7 +59,8 @@ Result<KnMatchResult> DiskScan::KnMatch(std::span<const Value> query,
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease streams = rows_.OpenStreams(1);
+  const size_t stream = streams[0];
   BoundedTopK<PointId, Value, PointId> top(k);
   std::vector<Value> diffs;
   uint64_t rows_seen = 0;
@@ -101,7 +102,8 @@ Result<FrequentKnMatchResult> DiskScan::FrequentKnMatch(
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease streams = rows_.OpenStreams(1);
+  const size_t stream = streams[0];
   std::vector<Value> diffs;
   uint64_t rows_seen = 0;
   Status io = rows_.ForEachRowWhile(
@@ -155,7 +157,8 @@ Result<std::vector<FrequentKnMatchResult>> DiskScan::FrequentKnMatchBatch(
     for (size_t i = 0; i < range; ++i) per_n.emplace_back(k);
   }
 
-  const size_t stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease streams = rows_.OpenStreams(1);
+  const size_t stream = streams[0];
   std::vector<Value> diffs;
   Status io =
       rows_.ForEachRow(stream, [&](PointId pid, std::span<const Value> p) {
@@ -193,7 +196,8 @@ Result<KnMatchResult> DiskScan::KnnEuclidean(std::span<const Value> query,
 
   const bool governed = ctx != nullptr && ctx->governed();
   if (governed) ctx->ArmPages(rows_.disk());
-  const size_t stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease streams = rows_.OpenStreams(1);
+  const size_t stream = streams[0];
   BoundedTopK<PointId, Value, PointId> top(k);
   uint64_t rows_seen = 0;
   Status io = rows_.ForEachRowWhile(

@@ -375,8 +375,7 @@ Result<KnMatchResult> SimilarityEngine::LiveKnMatch(
   if (live_ == nullptr) {
     return Status::FailedPrecondition("no ingest session; BeginIngest() first");
   }
-  const auto snap = live_->PinSnapshot();
-  SnapshotColumns columns(snap->trees, snap->pid_bound);
+  const SnapshotColumns columns(live_->PinSnapshot());
   auto r = DiskAdSearcher(columns).KnMatch(query, n, k, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;
@@ -388,8 +387,7 @@ Result<FrequentKnMatchResult> SimilarityEngine::LiveFrequentKnMatch(
   if (live_ == nullptr) {
     return Status::FailedPrecondition("no ingest session; BeginIngest() first");
   }
-  const auto snap = live_->PinSnapshot();
-  SnapshotColumns columns(snap->trees, snap->pid_bound);
+  const SnapshotColumns columns(live_->PinSnapshot());
   auto r = DiskAdSearcher(columns).FrequentKnMatch(query, n0, n1, k, ctx);
   if (ctx != nullptr) ctx->ObserveDeadlineFraction();
   return r;

@@ -210,36 +210,59 @@ Result<uint32_t> BPlusTree::DescendToLeaf(const Version& v,
 
 size_t BPlusTree::OpenStream() const { return disk_->OpenStream(); }
 
+size_t BPlusTree::WriterStream() {
+  // One simulator-lock acquisition either way: the first descent opens
+  // the stream, later ones rewind it. It stays open for the
+  // simulator's lifetime (one per tree), so nothing is owed back when
+  // the tree dies.
+  if (writer_stream_ == kNoStream) {
+    writer_stream_ = disk_->OpenStream();
+  } else {
+    disk_->RewindStream(writer_stream_);
+  }
+  return writer_stream_;
+}
+
 ColumnEntry BPlusTree::Iterator::Get() const {
   assert(Valid());
   return v_->nodes[node_]->entries[slot_];
 }
 
+Result<uint32_t> BPlusTree::WalkLeaves(const Version& v, DiskSimulator* disk,
+                                       size_t stream, uint32_t leaf,
+                                       bool ascending) {
+  // Lazily erased leaves may be empty; every one passed is a page read.
+  uint32_t at = leaf;
+  do {
+    at = ascending ? v.nodes[at]->next : v.nodes[at]->prev;
+    if (at == kInvalid) return at;
+    if (disk != nullptr) {
+      if (Status s = ChargeVisit(v, disk, stream, at); !s.ok()) return s;
+    }
+  } while (v.nodes[at]->entries.empty());
+  return at;
+}
+
+BPlusTree::LeafSpan BPlusTree::LeafAt(const Version& v, uint32_t leaf) {
+  if (leaf == kInvalid) return LeafSpan{};
+  return LeafSpan{v.nodes[leaf]->entries, leaf};
+}
+
+BPlusTree::LeafSpan BPlusTree::Iterator::leaf() const {
+  assert(Valid());
+  return LeafAt(*v_, node_);
+}
+
 void BPlusTree::Iterator::Next() {
   assert(Valid());
-  const Node* n = v_->nodes[node_].get();
-  if (slot_ + 1 < n->entries.size()) {
+  if (slot_ + 1 < v_->nodes[node_]->entries.size()) {
     ++slot_;
     return;
   }
-  // Cross to the next non-empty leaf (lazily erased leaves may be
-  // empty).
-  uint32_t next = n->next;
-  while (next != kInvalid) {
-    Status s = BPlusTree::ChargeVisit(*v_, disk_, stream_, next);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      node_ = kInvalid;
-      return;
-    }
-    if (!v_->nodes[next]->entries.empty()) {
-      node_ = next;
-      slot_ = 0;
-      return;
-    }
-    next = v_->nodes[next]->next;
-  }
-  node_ = kInvalid;
+  Result<uint32_t> next = WalkLeaves(*v_, disk_, stream_, node_, true);
+  if (!next.ok()) status_ = next.status();
+  node_ = next.ok() ? next.value() : kInvalid;
+  slot_ = 0;
 }
 
 void BPlusTree::Iterator::Prev() {
@@ -248,22 +271,10 @@ void BPlusTree::Iterator::Prev() {
     --slot_;
     return;
   }
-  uint32_t prev = v_->nodes[node_]->prev;
-  while (prev != kInvalid) {
-    Status s = BPlusTree::ChargeVisit(*v_, disk_, stream_, prev);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      node_ = kInvalid;
-      return;
-    }
-    if (!v_->nodes[prev]->entries.empty()) {
-      node_ = prev;
-      slot_ = v_->nodes[prev]->entries.size() - 1;
-      return;
-    }
-    prev = v_->nodes[prev]->prev;
-  }
-  node_ = kInvalid;
+  Result<uint32_t> prev = WalkLeaves(*v_, disk_, stream_, node_, false);
+  if (!prev.ok()) status_ = prev.status();
+  node_ = prev.ok() ? prev.value() : kInvalid;
+  if (node_ != kInvalid) slot_ = v_->nodes[node_]->entries.size() - 1;
 }
 
 BPlusTree::Iterator BPlusTree::SeekLowerBoundIn(const Version& v,
@@ -291,31 +302,10 @@ BPlusTree::Iterator BPlusTree::SeekLowerBoundIn(const Version& v,
   it.slot_ = slot;
   if (slot == n.entries.size()) {
     // Walk to the next non-empty leaf, if any.
-    if (n.entries.empty()) {
-      uint32_t next = n.next;
-      while (next != kInvalid && v.nodes[next]->entries.empty()) {
-        if (Status s = ChargeVisit(v, disk, stream, next); !s.ok()) {
-          it.status_ = std::move(s);
-          it.node_ = kInvalid;
-          return it;
-        }
-        next = v.nodes[next]->next;
-      }
-      if (next == kInvalid) {
-        it.node_ = kInvalid;
-      } else {
-        if (Status s = ChargeVisit(v, disk, stream, next); !s.ok()) {
-          it.status_ = std::move(s);
-          it.node_ = kInvalid;
-          return it;
-        }
-        it.node_ = next;
-        it.slot_ = 0;
-      }
-    } else {
-      it.slot_ = n.entries.size() - 1;
-      it.Next();
-    }
+    Result<uint32_t> next = WalkLeaves(v, disk, stream, leaf, true);
+    if (!next.ok()) it.status_ = next.status();
+    it.node_ = next.ok() ? next.value() : kInvalid;
+    it.slot_ = 0;
   }
   return it;
 }
@@ -347,21 +337,12 @@ BPlusTree::Iterator BPlusTree::SeekBeforeIn(const Version& v,
   }
   // Everything in this leaf is >= key; step to the previous non-empty
   // leaf's last entry.
-  uint32_t prev = n.prev;
-  while (prev != kInvalid && v.nodes[prev]->entries.empty()) {
-    if (Status s = ChargeVisit(v, disk, stream, prev); !s.ok()) {
-      it.status_ = std::move(s);
-      return it;
-    }
-    prev = v.nodes[prev]->prev;
-  }
-  if (prev != kInvalid) {
-    if (Status s = ChargeVisit(v, disk, stream, prev); !s.ok()) {
-      it.status_ = std::move(s);
-      return it;
-    }
-    it.node_ = prev;
-    it.slot_ = v.nodes[prev]->entries.size() - 1;
+  Result<uint32_t> prev = WalkLeaves(v, disk, stream, leaf, false);
+  if (!prev.ok()) {
+    it.status_ = prev.status();
+  } else if (prev.value() != kInvalid) {
+    it.node_ = prev.value();
+    it.slot_ = v.nodes[prev.value()]->entries.size() - 1;
   }
   return it;
 }
@@ -421,6 +402,27 @@ Result<size_t> BPlusTree::Snapshot::RankOf(size_t stream,
   return BPlusTree::RankOfIn(*v_, disk_, stream, value);
 }
 
+BPlusTree::LeafSpan BPlusTree::NextLeaf(uint32_t leaf,
+                                        bool ascending) const {
+  return LeafAt(cur_, WalkLeaves(cur_, nullptr, 0, leaf, ascending).value());
+}
+
+Result<uint32_t> BPlusTree::ChargeLeafStep(size_t stream, uint32_t leaf,
+                                           bool ascending) const {
+  return WalkLeaves(cur_, disk_, stream, leaf, ascending);
+}
+
+BPlusTree::LeafSpan BPlusTree::Snapshot::NextLeaf(uint32_t leaf,
+                                                  bool ascending) const {
+  return LeafAt(*v_, WalkLeaves(*v_, nullptr, 0, leaf, ascending).value());
+}
+
+Result<uint32_t> BPlusTree::Snapshot::ChargeLeafStep(size_t stream,
+                                                     uint32_t leaf,
+                                                     bool ascending) const {
+  return WalkLeaves(*v_, disk_, stream, leaf, ascending);
+}
+
 Status BPlusTree::Insert(ColumnEntry entry) {
   if (cur_.root == kInvalid) {
     const uint32_t id = NewNode(/*leaf=*/true);
@@ -429,7 +431,7 @@ Status BPlusTree::Insert(ColumnEntry entry) {
     cur_.height = 1;
   }
   std::vector<uint32_t> path;
-  const size_t stream = disk_->OpenStream();
+  const size_t stream = WriterStream();
   auto leaf_or = DescendToLeaf(cur_, disk_, stream, entry, &path);
   if (!leaf_or.ok()) return leaf_or.status();
   const uint32_t leaf = leaf_or.value();
@@ -546,7 +548,7 @@ void BPlusTree::SplitUpward(std::vector<uint32_t>& path,
 Result<bool> BPlusTree::Erase(ColumnEntry entry) {
   if (cur_.root == kInvalid) return false;
   std::vector<uint32_t> path;
-  const size_t stream = disk_->OpenStream();
+  const size_t stream = WriterStream();
   auto leaf_or = DescendToLeaf(cur_, disk_, stream, entry, &path);
   if (!leaf_or.ok()) return leaf_or.status();
   const uint32_t leaf = leaf_or.value();

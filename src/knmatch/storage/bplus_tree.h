@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "knmatch/common/status.h"
@@ -137,6 +138,17 @@ class BPlusTree {
   };
 
  public:
+  /// Leaf id past either end of the leaf chain.
+  static constexpr uint32_t kNoLeaf = kInvalid;
+
+  /// One leaf's entries in key order, and the leaf's id (kNoLeaf, with
+  /// no entries, past either end of the chain). Borrows the Version it
+  /// was read from, like an Iterator.
+  struct LeafSpan {
+    std::span<const ColumnEntry> entries;
+    uint32_t leaf = kNoLeaf;
+  };
+
   /// A charged cursor into the leaf level of one Version. A cursor
   /// that hits an unreadable leaf page becomes invalid with a non-OK
   /// status(); distinguish "walked off the end" (invalid, OK status)
@@ -159,6 +171,10 @@ class BPlusTree {
     /// Moves one entry backward (descending); invalid before the first
     /// entry.
     void Prev();
+    /// The leaf under the cursor, and the cursor's index in it.
+    /// Require Valid().
+    LeafSpan leaf() const;
+    size_t leaf_offset() const { return slot_; }
 
    private:
     friend class BPlusTree;
@@ -184,9 +200,15 @@ class BPlusTree {
     const DiskSimulator* disk() const { return disk_; }
 
     size_t OpenStream() const { return disk_->OpenStream(); }
+    DiskSimulator::StreamLease OpenStreams(size_t count) const {
+      return DiskSimulator::StreamLease(disk_, count);
+    }
     Iterator SeekLowerBound(size_t stream, Value v) const;
     Iterator SeekBefore(size_t stream, Value v) const;
     Result<size_t> RankOf(size_t stream, Value v) const;
+    LeafSpan NextLeaf(uint32_t leaf, bool ascending) const;
+    Result<uint32_t> ChargeLeafStep(size_t stream, uint32_t leaf,
+                                    bool ascending) const;
 
    private:
     friend class BPlusTree;
@@ -217,6 +239,26 @@ class BPlusTree {
   /// Rank (number of entries strictly below (v, 0)). Charges one
   /// root-to-leaf traversal to `stream`.
   Result<size_t> RankOf(size_t stream, Value v) const;
+
+  /// The next non-empty leaf after `leaf` in key order (ascending) or
+  /// against it, read without charging I/O — the band-ascend kernel's
+  /// in-place leaf walk, whose visits are charged later, when the
+  /// entries are delivered (ChargeLeafStep).
+  LeafSpan NextLeaf(uint32_t leaf, bool ascending) const;
+
+  /// Charges to `stream` exactly the leaf visits an iterator pays
+  /// stepping out of `leaf` (Next when ascending, Prev otherwise):
+  /// every leaf page up to and including the next non-empty one,
+  /// stopping at the first failed read. Returns the non-empty leaf
+  /// reached (kNoLeaf past the chain's end).
+  Result<uint32_t> ChargeLeafStep(size_t stream, uint32_t leaf,
+                                  bool ascending) const;
+
+  /// Opens `count` streams for one query's cursors, released together
+  /// when the lease dies.
+  DiskSimulator::StreamLease OpenStreams(size_t count) const {
+    return DiskSimulator::StreamLease(disk_, count);
+  }
 
   /// Validates the B+-tree invariants (sortedness, fanout bounds, leaf
   /// chain consistency, key/child separators). For tests and recovery.
@@ -275,6 +317,9 @@ class BPlusTree {
   Node* Mutable(uint32_t id);
   uint32_t NewNode(bool leaf);
   void MarkDirty(uint32_t id);
+  /// The stream Insert and Erase charge their descents to: the tree's
+  /// own, rewound per call so each descent seeks like a fresh stream.
+  size_t WriterStream();
   /// Unlinks and frees the emptied leaf at path.back(), cascading into
   /// parents that empty as a result.
   void ReclaimEmpty(const std::vector<uint32_t>& path);
@@ -285,6 +330,14 @@ class BPlusTree {
   /// policy (retry, quarantine).
   static Status ChargeVisit(const Version& v, DiskSimulator* disk,
                             size_t stream, uint32_t node);
+  /// Walks from `leaf` to the next non-empty leaf in the given
+  /// direction (kInvalid past the chain's end). With a simulator, each
+  /// visited leaf page is charged to `stream`, stopping at the first
+  /// failed read; with nullptr the walk is free.
+  static Result<uint32_t> WalkLeaves(const Version& v, DiskSimulator* disk,
+                                     size_t stream, uint32_t leaf,
+                                     bool ascending);
+  static LeafSpan LeafAt(const Version& v, uint32_t leaf);
   /// Descends to the leaf that would contain `key`, charging each
   /// visited node; records the root-to-leaf path in `path` if non-null.
   /// Fails when any node page on the way is unreadable.
@@ -318,6 +371,8 @@ class BPlusTree {
   /// (is_insert, entry) in mutation order.
   std::vector<std::pair<bool, ColumnEntry>> pending_notifications_;
   MutationListener* listener_ = nullptr;
+  static constexpr size_t kNoStream = static_cast<size_t>(-1);
+  size_t writer_stream_ = kNoStream;
 };
 
 }  // namespace knmatch

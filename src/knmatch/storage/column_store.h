@@ -34,6 +34,11 @@ class ColumnStore {
 
   /// Opens an I/O accounting stream (one per cursor direction).
   size_t OpenStream() const;
+  /// Opens `count` streams for one query's cursors, released together
+  /// when the lease dies.
+  DiskSimulator::StreamLease OpenStreams(size_t count) const {
+    return DiskSimulator::StreamLease(disk_, count);
+  }
 
   /// The simulator this store charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

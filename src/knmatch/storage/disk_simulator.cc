@@ -15,12 +15,55 @@ uint64_t DiskSimulator::AllocatePages(uint64_t count) {
   return first;
 }
 
+namespace {
+
+/// Physical read attempts charged by this thread (thread_reads()).
+thread_local uint64_t tls_reads = 0;
+
+}  // namespace
+
+uint64_t DiskSimulator::thread_reads() { return tls_reads; }
+
 size_t DiskSimulator::OpenStream() {
   std::lock_guard<std::mutex> lock(mu_);
+  return OpenStreamLocked();
+}
+
+size_t DiskSimulator::OpenStreamLocked() {
+  if (!free_streams_.empty()) {
+    // A released id: its position and buffer were reset on release.
+    const size_t id = free_streams_.back();
+    free_streams_.pop_back();
+    return id;
+  }
   stream_last_page_.push_back(0);
   stream_has_pos_.push_back(false);
   stream_buffer_valid_.push_back(false);
   return stream_last_page_.size() - 1;
+}
+
+void DiskSimulator::RewindStream(size_t stream) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stream_has_pos_[stream] = false;
+  stream_buffer_valid_[stream] = false;
+}
+
+DiskSimulator::StreamLease::StreamLease(DiskSimulator* disk, size_t count)
+    : disk_(disk), ids_(count, 0) {
+  if (disk_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(disk_->mu_);
+  for (size_t& id : ids_) id = disk_->OpenStreamLocked();
+}
+
+void DiskSimulator::StreamLease::Release() {
+  if (disk_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(disk_->mu_);
+  for (const size_t id : ids_) {
+    disk_->stream_has_pos_[id] = false;
+    disk_->stream_buffer_valid_[id] = false;
+    disk_->free_streams_.push_back(id);
+  }
+  disk_ = nullptr;
 }
 
 bool DiskSimulator::BufferPool::Lookup(uint64_t page) {
@@ -104,6 +147,7 @@ void DiskSimulator::SetPosition(size_t stream, uint64_t page,
 }
 
 void DiskSimulator::ChargeAttempt(size_t stream, uint64_t page) {
+  ++tls_reads;
   const bool has_pos =
       config_.single_head ? head_has_pos_ : stream_has_pos_[stream];
   if (!has_pos) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "knmatch/common/status.h"
@@ -92,9 +93,29 @@ class DiskSimulator {
   /// the first. Called by files at build time.
   uint64_t AllocatePages(uint64_t count);
 
-  /// Opens an access stream (a cursor with its own read-ahead state).
-  /// Streams are cheap; open one per independent cursor.
+  /// Opens an access stream (a cursor with its own read-ahead state)
+  /// that stays open for the simulator's lifetime. Per-query cursors
+  /// lease theirs instead (StreamLease), so the stream table stays
+  /// bounded however many queries run.
   size_t OpenStream();
+
+  /// Forgets `stream`'s position and buffer, so its next read seeks
+  /// like a fresh stream's. For long-lived streams reused per operation
+  /// (a B+-tree's writer descents).
+  void RewindStream(size_t stream);
+
+  /// Stream-table slots, open and released (released ones are reused
+  /// by the next open). Bounded by the most streams ever open at once.
+  size_t stream_slots() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stream_last_page_.size();
+  }
+
+  /// Physical read attempts the calling thread has charged, on any
+  /// simulator. A query runs on one thread, so the difference across
+  /// it is the pages that query read, whatever other threads read
+  /// meanwhile (QueryContext's page budget).
+  static uint64_t thread_reads();
 
   /// Outcome of one physical read attempt (mirrors
   /// FaultInjector::Outcome so callers need not reach the injector).
@@ -143,6 +164,40 @@ class DiskSimulator {
   /// image failed verification).
   void EvictPage(uint64_t page);
 
+  /// A set of streams opened together and released together when the
+  /// lease dies — one simulator-lock acquisition each way. A released
+  /// id is reused by a later open with its position reset, so "the
+  /// first access of a stream seeks" holds for every lease. Move-only.
+  class StreamLease {
+   public:
+    StreamLease() = default;
+    /// Opens `count` streams on `disk` (nullptr: no simulator, every id
+    /// 0 and nothing to release).
+    StreamLease(DiskSimulator* disk, size_t count);
+    ~StreamLease() { Release(); }
+    StreamLease(StreamLease&& other) noexcept
+        : disk_(std::exchange(other.disk_, nullptr)),
+          ids_(std::move(other.ids_)) {}
+    StreamLease& operator=(StreamLease&& other) noexcept {
+      if (this != &other) {
+        Release();
+        disk_ = std::exchange(other.disk_, nullptr);
+        ids_ = std::move(other.ids_);
+      }
+      return *this;
+    }
+    StreamLease(const StreamLease&) = delete;
+    StreamLease& operator=(const StreamLease&) = delete;
+
+    size_t operator[](size_t i) const { return ids_[i]; }
+    size_t size() const { return ids_.size(); }
+
+   private:
+    void Release();
+    DiskSimulator* disk_ = nullptr;
+    std::vector<size_t> ids_;
+  };
+
   /// Counters. Sequential/random totals include failed attempts — every
   /// physical attempt costs I/O — and failed_reads() tallies them.
   uint64_t sequential_reads() const {
@@ -187,6 +242,7 @@ class DiskSimulator {
   /// page buffer now holds valid contents.
   void SetPosition(size_t stream, uint64_t page, bool buffer_valid);
   /// Unsynchronized bodies, called with mu_ held.
+  size_t OpenStreamLocked();
   ReadOutcome ReadAttemptLocked(size_t stream, uint64_t page);
   void QuarantinePageLocked(uint64_t page);
 
@@ -204,6 +260,8 @@ class DiskSimulator {
   std::vector<uint64_t> stream_last_page_;
   std::vector<bool> stream_has_pos_;
   std::vector<bool> stream_buffer_valid_;
+  /// Released stream ids, reused before the table grows.
+  std::vector<size_t> free_streams_;
   uint64_t head_last_page_ = 0;
   bool head_has_pos_ = false;
   bool head_buffer_valid_ = false;

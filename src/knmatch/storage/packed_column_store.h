@@ -40,6 +40,11 @@ class PackedColumnStore {
 
   /// Opens an I/O accounting stream (one per cursor direction).
   size_t OpenStream() const;
+  /// Opens `count` streams for one query's cursors, released together
+  /// when the lease dies.
+  DiskSimulator::StreamLease OpenStreams(size_t count) const {
+    return DiskSimulator::StreamLease(disk_, count);
+  }
 
   /// The simulator this store charges its I/O to.
   const DiskSimulator* disk() const { return disk_; }

@@ -32,6 +32,11 @@ class RowStore {
 
   /// Opens an I/O accounting stream on the underlying disk.
   size_t OpenStream() const;
+  /// Opens `count` streams for one query, released together when the
+  /// lease dies.
+  DiskSimulator::StreamLease OpenStreams(size_t count) const {
+    return DiskSimulator::StreamLease(disk_, count);
+  }
 
   /// The simulator this store charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

@@ -48,6 +48,11 @@ class VaFile {
 
   /// Opens an I/O accounting stream.
   size_t OpenStream() const;
+  /// Opens `count` streams for one query, released together when the
+  /// lease dies.
+  DiskSimulator::StreamLease OpenStreams(size_t count) const {
+    return DiskSimulator::StreamLease(disk_, count);
+  }
 
   /// The simulator this file charges its I/O to (for page-budget
   /// accounting via QueryContext::ArmPages).

@@ -63,7 +63,8 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
   std::vector<PointId> candidates;
   std::vector<Value> lb(d), ub(d);
   uint64_t approx_seen = 0;
-  const size_t va_stream = va_.OpenStream();
+  const DiskSimulator::StreamLease va_streams = va_.OpenStreams(1);
+  const size_t va_stream = va_streams[0];
   Status io = va_.ForEachApproxWhile(va_stream, [&](PointId pid,
                                                     std::span<const uint32_t>
                                                         codes) {
@@ -115,7 +116,8 @@ Result<VaFrequentKnMatchResult> VaKnMatchSearcher::FrequentKnMatch(
   per_n.reserve(range);
   for (size_t i = 0; i < range; ++i) per_n.emplace_back(k);
 
-  const size_t row_stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease row_streams = rows_.OpenStreams(1);
+  const size_t row_stream = row_streams[0];
   std::vector<Value> buf, diffs;
   uint64_t refined = 0;
   {

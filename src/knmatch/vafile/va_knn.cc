@@ -26,7 +26,8 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
   std::vector<Candidate> candidates;
   BoundedTopK<PointId, Value, PointId> ub_heap(k);
 
-  const size_t va_stream = va_.OpenStream();
+  const DiskSimulator::StreamLease va_streams = va_.OpenStreams(1);
+  const size_t va_stream = va_streams[0];
   Status io = va_.ForEachApprox(va_stream, [&](PointId pid,
                                                std::span<const uint32_t>
                                                    codes) {
@@ -61,7 +62,8 @@ Result<KnMatchResult> VaKnnSearcher::Knn(std::span<const Value> query,
             });
 
   BoundedTopK<PointId, Value, PointId> top(k);
-  const size_t row_stream = rows_.OpenStream();
+  const DiskSimulator::StreamLease row_streams = rows_.OpenStreams(1);
+  const size_t row_stream = row_streams[0];
   std::vector<Value> buf;
   last_points_refined_ = 0;
   {

@@ -233,6 +233,51 @@ TEST(BPlusTreeTest, EraseWholeLeafThenIterate) {
   EXPECT_EQ(seen, 700u);
 }
 
+TEST(BPlusTreeTest, LeafWalksChargeEveryLeafTheyPass) {
+  // Six full leaves; erasing leaves 2 and 3 (lazily, no reclamation)
+  // leaves two empty pages on the chain between leaves 1 and 4.
+  DiskSimulator disk;
+  BPlusTree tree(&disk);
+  auto entries = SortedEntries(6 * 256, 12);
+  tree.BulkLoad(entries);
+  for (size_t i = 2 * 256; i < 4 * 256; ++i) {
+    ASSERT_TRUE(tree.Erase(entries[i]).value());
+  }
+  disk.ResetCounters();  // the erases' descents
+  const size_t s = tree.OpenStream();
+  auto it = tree.SeekLowerBound(s, -1.0);
+  const uint64_t seek = disk.total_reads();
+  EXPECT_EQ(seek, tree.height());
+  size_t seen = 0;
+  for (; it.Valid(); it.Next()) ++seen;
+  EXPECT_EQ(seen, 4u * 256);
+  // Every leaf after the first is read once, the empty ones included.
+  EXPECT_EQ(disk.total_reads() - seek, 5u);
+
+  // The uncharged read and the charged step walk the same chain: from
+  // leaf 1 both land on leaf 4, and the step pays for leaves 2, 3, 4.
+  auto at = tree.SeekLowerBound(s, entries[256].value);
+  const BPlusTree::LeafSpan leaf1 = at.leaf();
+  EXPECT_EQ(at.leaf_offset(), 0u);
+  ASSERT_EQ(leaf1.entries.size(), 256u);
+  EXPECT_EQ(leaf1.entries.front(), entries[256]);
+  const uint64_t before = disk.total_reads();
+  const BPlusTree::LeafSpan leaf4 = tree.NextLeaf(leaf1.leaf, true);
+  EXPECT_EQ(disk.total_reads(), before) << "NextLeaf reads uncharged";
+  ASSERT_EQ(leaf4.entries.size(), 256u);
+  EXPECT_EQ(leaf4.entries.front(), entries[4 * 256]);
+  Result<uint32_t> landed = tree.ChargeLeafStep(s, leaf1.leaf, true);
+  ASSERT_TRUE(landed.ok());
+  EXPECT_EQ(landed.value(), leaf4.leaf);
+  EXPECT_EQ(disk.total_reads() - before, 3u);
+  // Back the other way, and off the chain's ends.
+  EXPECT_EQ(tree.NextLeaf(leaf4.leaf, false).leaf, leaf1.leaf);
+  EXPECT_EQ(tree.ChargeLeafStep(s, leaf4.leaf, false).value(), leaf1.leaf);
+  const BPlusTree::LeafSpan last = tree.NextLeaf(leaf4.leaf, true);
+  EXPECT_EQ(tree.NextLeaf(last.leaf, true).leaf, BPlusTree::kNoLeaf);
+  EXPECT_TRUE(tree.NextLeaf(last.leaf, true).entries.empty());
+}
+
 TEST(BTreeColumnsTest, AdOverBTreesMatchesMemoryAdExactly) {
   Dataset db = datagen::MakeUniform(3000, 6, 12);
   DiskSimulator disk;

@@ -9,7 +9,8 @@
 # The --drift-only hook covers the sequential-QPS baseline: a sibling
 # BENCH_throughput.json wins, else the last BENCH_history.jsonl record
 # is the baseline when its host fingerprint matches, and a different or
-# missing fingerprint WARNs and re-baselines.
+# missing fingerprint (build type and compile flags included) WARNs and
+# re-baselines.
 #
 # Registered in tests/CMakeLists.txt; run directly with
 #   tests/check_bench_drift_strict_test.sh
@@ -204,6 +205,23 @@ expect pass "different fingerprint WARNs and re-baselines" \
   bash "$SCRIPT" --strict --drift-only "$fresh"
 grep -q 'WARN \[drift\]' "$tmpdir/out" || {
   echo "FAIL: fingerprint mismatch did not print the WARN line" >&2
+  fails=$((fails + 1))
+}
+
+# The fingerprint carries the build type and compile flags: a record
+# from a Debug build of the same host is not a baseline either.
+for field in build_type cxx_flags; do
+  grep -q "\"$field\": \"" <<<"$host" || {
+    echo "FAIL: host fingerprint lacks $field: $host" >&2
+    fails=$((fails + 1))
+  }
+done
+debug_host=$(sed 's/"build_type": "[^"]*"/"build_type": "Debug"/; s/"cxx_flags": "[^"]*"/"cxx_flags": "-g"/' <<<"$host")
+record "$debug_host" 500.0 >>"$history"
+expect pass "different build type WARNs and re-baselines" \
+  bash "$SCRIPT" --strict --drift-only "$fresh"
+grep -q 'WARN \[drift\].*"build_type": "Debug"' "$tmpdir/out" || {
+  echo "FAIL: build-type mismatch did not print the WARN line" >&2
   fails=$((fails + 1))
 }
 

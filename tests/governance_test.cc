@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -491,6 +492,98 @@ TEST(GovernanceBreakerTest, EngineStopsRoutingToAFailingDiskAndRecovers) {
 // budgets, and cancel points across the memory, disk, and B+-tree
 // accessors. Every trip leaves the engine reusable; every untripped
 // query is bit-identical to a governance-free run.
+
+TEST(GovernanceConcurrencyTest, PageBudgetCountsOnlyThisQuerysReads) {
+  // A snapshot query's page budget is its own: a second reader and an
+  // ingesting writer charge the same simulator meanwhile, yet a budget
+  // of exactly the query's solo page count never trips, and a tight
+  // budget trips on the solo pop with the solo partial answer.
+  const Dataset base = datagen::MakeUniform(1500, 4, 41);
+  DiskSimulator disk;
+  LiveColumnIndex live(base, &disk);
+  const SnapshotColumns columns(live.PinSnapshot());
+  const DiskAdSearcher searcher(columns);
+  const std::vector<Value> q = {0.3, 0.6, 0.5, 0.2};
+  constexpr size_t kN = 3, kK = 40;
+
+  const uint64_t reads0 = disk.total_reads();
+  auto solo = searcher.KnMatch(q, kN, kK);
+  ASSERT_TRUE(solo.ok());
+  const uint64_t solo_pages = disk.total_reads() - reads0;
+  ASSERT_GT(solo_pages, 8u);
+
+  const auto tight_run = [&](QueryContext* ctx) {
+    ctx->budgets().max_pages = solo_pages / 2;
+    return searcher.KnMatch(q, kN, kK, ctx);
+  };
+  QueryContext solo_trip;
+  ASSERT_TRUE(StatusIs(tight_run(&solo_trip).status(),
+                       StatusCode::kResourceExhausted));
+
+  // A thread that fails stops itself and sets `failed`, which also ends
+  // the governed loop below (which would otherwise wait for its work).
+  std::atomic<bool> stop{false}, failed{false};
+  std::atomic<int> reads{0}, writes{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      const SnapshotColumns mine(live.PinSnapshot());
+      if (!DiskAdSearcher(mine).KnMatch(q, 2, 60).ok()) {
+        failed.store(true);
+        return;
+      }
+      reads.fetch_add(1);
+    }
+  });
+  std::thread writer([&] {
+    std::mt19937 rng(42);
+    std::uniform_real_distribution<double> coord(0.0, 1.0);
+    PointId next = 5000;
+    for (size_t op = 0; !stop.load(); ++op) {
+      Status s;
+      if (op % 3 == 2) {
+        s = live.Erase(next - 1).status();
+      } else {
+        const std::vector<Value> p = {coord(rng), coord(rng), coord(rng),
+                                      coord(rng)};
+        s = live.Insert(next++, p);
+      }
+      if (s.ok() && op % 20 == 19) s = live.Checkpoint();
+      if (!s.ok()) {
+        failed.store(true);
+        return;
+      }
+      writes.fetch_add(1);
+    }
+  });
+  // At least 100 governed pairs, and on until both threads have done
+  // real work beside them.
+  for (int i = 0;
+       !failed.load() && (i < 100 || reads.load() < 50 || writes.load() < 50);
+       ++i) {
+    QueryContext exact;
+    exact.budgets().max_pages = solo_pages;
+    auto r = searcher.KnMatch(q, kN, kK, &exact);
+    if (!r.ok()) {
+      // Expectations only in this loop: the threads must still be
+      // stopped and joined below.
+      ADD_FAILURE() << "iteration " << i << ": " << r.status().ToString();
+      break;
+    }
+    EXPECT_EQ(r.value().matches, solo.value().matches);
+
+    QueryContext tight;
+    EXPECT_TRUE(StatusIs(tight_run(&tight).status(),
+                         StatusCode::kResourceExhausted));
+    EXPECT_EQ(tight.trip().pops, solo_trip.trip().pops);
+    EXPECT_EQ(tight.trip().pages_read, solo_trip.trip().pages_read);
+    EXPECT_EQ(tight.trip().partial_per_n_sets,
+              solo_trip.trip().partial_per_n_sets);
+  }
+  stop.store(true);
+  reader.join();
+  writer.join();
+  EXPECT_FALSE(failed.load()) << "the reader or the writer failed";
+}
 
 TEST(GovernanceSoakTest, TwoThousandRandomlyGovernedQueriesStayExact) {
   constexpr size_t kCardinality = 800;

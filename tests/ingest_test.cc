@@ -732,6 +732,41 @@ TEST(EngineIngestTest, EndIngestStrandsEveryCachedEntry) {
 // runs it long).
 // ---------------------------------------------------------------------
 
+TEST(LiveColumnIndexTest, SnapshotQueriesReleaseTheirStreams) {
+  // What LiveKnMatch runs per call: pin, borrow the trees, search. Each
+  // search leases 2d+1 streams; 10,000 of them must leave the stream
+  // table where the first left it, and a reused stream must charge a
+  // query exactly what a fresh one did.
+  const Dataset base = datagen::MakeUniform(400, 4, 31);
+  DiskSimulator disk;
+  LiveColumnIndex live(base, &disk);
+  const auto queries = TestQueries(4, 16, 32);
+  const auto run = [&](size_t qi) {
+    const SnapshotColumns columns(live.PinSnapshot());
+    auto r = DiskAdSearcher(columns).KnMatch(queries[qi % 16], 2, 5);
+    EXPECT_TRUE(StatusIs(r, StatusCode::kOk));
+  };
+  struct Io {
+    uint64_t sequential, random;
+    bool operator==(const Io&) const = default;
+  };
+  const auto charged = [&](size_t qi) {
+    const Io before{disk.sequential_reads(), disk.random_reads()};
+    run(qi);
+    return Io{disk.sequential_reads() - before.sequential,
+              disk.random_reads() - before.random};
+  };
+  std::vector<Io> fresh;
+  for (size_t qi = 0; qi < 16; ++qi) fresh.push_back(charged(qi));
+  const size_t slots = disk.stream_slots();
+  EXPECT_LE(slots, 2 * 4 + 1 + 4) << "one lease plus the writer streams";
+  for (size_t i = 0; i < 10000; ++i) run(i);
+  EXPECT_EQ(disk.stream_slots(), slots);
+  for (size_t qi = 0; qi < 16; ++qi) {
+    EXPECT_EQ(charged(qi), fresh[qi]) << "query " << qi;
+  }
+}
+
 TEST(IngestSoakTest, ConcurrentReadersMatchQuiescedMirrors) {
   int soak_ms = 1500;
   if (const char* env = std::getenv("KNMATCH_SOAK_MS")) {

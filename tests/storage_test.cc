@@ -1,4 +1,5 @@
 #include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,46 @@ TEST(DiskSimulatorTest, FirstReadOfStreamIsRandom) {
   disk.RecordRead(s, 5);
   EXPECT_EQ(disk.random_reads(), 1u);
   EXPECT_EQ(disk.sequential_reads(), 0u);
+}
+
+TEST(DiskSimulatorTest, ReleasedStreamsAreReusedAndSeekAfresh) {
+  DiskSimulator disk;
+  disk.AllocatePages(10);
+  size_t first;
+  {
+    const DiskSimulator::StreamLease lease(&disk, 2);
+    first = lease[0];
+    disk.RecordRead(lease[0], 5);
+    disk.RecordRead(lease[1], 7);
+  }
+  EXPECT_EQ(disk.stream_slots(), 2u);
+  const DiskSimulator::StreamLease lease(&disk, 2);
+  EXPECT_EQ(disk.stream_slots(), 2u) << "released ids are reused";
+  EXPECT_TRUE(lease[0] == first || lease[1] == first);
+  // Page 6 neighbours both pages the old leases last read, yet a reused
+  // stream has no position: its first read seeks, and page 5 is no
+  // longer buffered on it.
+  disk.RecordRead(lease[0], 6);
+  disk.RecordRead(lease[1], 5);
+  EXPECT_EQ(disk.random_reads(), 4u);
+  EXPECT_EQ(disk.sequential_reads(), 0u);
+}
+
+TEST(DiskSimulatorTest, ThreadReadsCountOnlyTheCallingThread) {
+  DiskSimulator disk;
+  disk.AllocatePages(10);
+  const size_t s = disk.OpenStream();
+  const uint64_t base = DiskSimulator::thread_reads();
+  disk.RecordRead(s, 1);
+  std::thread other([&disk] {
+    const size_t t = disk.OpenStream();
+    disk.RecordRead(t, 3);
+    disk.RecordRead(t, 8);
+  });
+  other.join();
+  disk.RecordRead(s, 1);  // own buffer: no physical read
+  EXPECT_EQ(DiskSimulator::thread_reads() - base, 1u);
+  EXPECT_EQ(disk.total_reads(), 3u);
 }
 
 TEST(DiskSimulatorTest, AdjacentReadsAreSequentialBothDirections) {
