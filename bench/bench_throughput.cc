@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <iterator>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -388,13 +389,15 @@ int main(int argc, char** argv) {
   }
 
   // sharded_scatter_gather: router QPS across shard counts with replica
-  // groups and hedging forced on (every warm dispatch duplicates to the
-  // second replica — the lane measures the policy's worst-case cost,
-  // not its latency win). Every pass is checksummed against the
-  // unsharded engine: the scatter-gather merge is exact by contract.
-  // Field names (sharded_qps / fanout_ms_mean / hedge_rate) keep the
-  // lane out of the sequential-drift gate; check_bench_drift.sh gates
-  // it on progress instead.
+  // groups and hedging off, so every shard slice runs once and the lane
+  // measures sharding alone. sharded_hedging_cost then reruns one shard
+  // count with hedging forced on (every warm dispatch duplicates to the
+  // second replica): the policy's worst-case cost, not its latency win.
+  // Every pass is checksummed against the unsharded engine: the
+  // scatter-gather merge is exact by contract. Field names
+  // (sharded_qps / hedged_qps / fanout_ms_mean / hedge_rate) keep both
+  // lanes out of the sequential-drift gate; check_bench_drift.sh gates
+  // the sharding lane on progress instead.
   {
     constexpr size_t kN = 8, kK = 10;
     uint64_t reference = 0;
@@ -403,16 +406,19 @@ int main(int argc, char** argv) {
       for (const Neighbor& nb : r.value().matches) reference += nb.pid;
     }
 
-    std::fprintf(json,
-                 ",\n    {\"name\": \"sharded_scatter_gather\", "
-                 "\"replicas\": 2, \"configs\": [");
-    const size_t shard_counts[] = {1, 4, 16};
-    bool first_config = true;
-    for (const size_t shards : shard_counts) {
+    struct RouterRun {
+      double qps = 0;
+      double fanout_ms_mean = 0;
+      double hedge_rate = 0;
+    };
+    // Best of three checksummed passes over S shards x 2 replicas;
+    // nullopt (after a message) when an answer diverges.
+    auto measure_router = [&](size_t shards, double hedge_threshold_ms)
+        -> std::optional<RouterRun> {
       shard::RouterOptions options;
       options.shards = shards;
       options.replicas = 2;
-      options.hedge_threshold_ms = 1e-6;
+      options.hedge_threshold_ms = hedge_threshold_ms;
       const shard::ShardRouter router(engine.dataset(), options);
 
       auto run_router = [&router, &request]() {
@@ -426,7 +432,7 @@ int main(int argc, char** argv) {
 
       if (run_router() != reference) {  // warm + bit-identity check
         std::fprintf(stderr, "sharded answers diverge at S=%zu\n", shards);
-        return 1;
+        return std::nullopt;
       }
       const auto dispatch_before =
           obs::Cat().shard_dispatch_seconds->Snapshot();
@@ -438,41 +444,71 @@ int main(int argc, char** argv) {
         if (pass == 0 || elapsed < best_seconds) best_seconds = elapsed;
         if (sum != reference) {
           std::fprintf(stderr, "sharded checksum drift at S=%zu\n", shards);
-          return 1;
+          return std::nullopt;
         }
       }
       const auto dispatch_after =
           obs::Cat().shard_dispatch_seconds->Snapshot();
 
-      const double qps = num_queries / best_seconds;
+      RouterRun run;
+      run.qps = num_queries / best_seconds;
       const uint64_t dispatch_count =
           dispatch_after.count - dispatch_before.count;
-      const double fanout_ms_mean =
+      run.fanout_ms_mean =
           dispatch_count > 0
               ? 1e3 * static_cast<double>(dispatch_after.sum_raw -
                                           dispatch_before.sum_raw) *
                     dispatch_after.scale / static_cast<double>(dispatch_count)
               : 0.0;
       const shard::RouterStats stats = router.Stats();
-      const double hedge_rate =
-          stats.dispatches > 0
-              ? static_cast<double>(stats.hedges) /
-                    static_cast<double>(stats.dispatches)
-              : 0.0;
+      run.hedge_rate = stats.dispatches > 0
+                           ? static_cast<double>(stats.hedges) /
+                                 static_cast<double>(stats.dispatches)
+                           : 0.0;
+      return run;
+    };
 
+    std::fprintf(json,
+                 ",\n    {\"name\": \"sharded_scatter_gather\", "
+                 "\"replicas\": 2, \"hedging\": false, \"configs\": [");
+    const size_t shard_counts[] = {1, 4, 16};
+    constexpr size_t kHedgedShards = 4;
+    double unhedged_qps = 0;
+    bool first_config = true;
+    for (const size_t shards : shard_counts) {
+      const std::optional<RouterRun> run = measure_router(shards, 0.0);
+      if (!run.has_value()) return 1;
+      if (shards == kHedgedShards) unhedged_qps = run->qps;
       std::printf("%-20s S=%-2zu R=2:  %8.1f q/s  (%.3f ms/shard "
-                  "dispatch, hedge rate %.2f, checksum ok)\n",
-                  first_config ? "sharded_scatter" : "", shards, qps,
-                  fanout_ms_mean, hedge_rate);
+                  "dispatch, hedging off, checksum ok)\n",
+                  first_config ? "sharded_scatter" : "", shards, run->qps,
+                  run->fanout_ms_mean);
       std::fprintf(json,
                    "%s\n      {\"shards\": %zu, \"sharded_qps\": %.1f, "
                    "\"fanout_ms_mean\": %.4f, \"hedge_rate\": %.3f}",
-                   first_config ? "" : ",", shards, qps, fanout_ms_mean,
-                   hedge_rate);
+                   first_config ? "" : ",", shards, run->qps,
+                   run->fanout_ms_mean, run->hedge_rate);
       first_config = false;
     }
     std::fprintf(json, "\n    ]}");
-    std::printf("\n");
+
+    const std::optional<RouterRun> hedged =
+        measure_router(kHedgedShards, 1e-6);
+    if (!hedged.has_value()) return 1;
+    const double hedge_cost =
+        hedged->qps > 0 ? unhedged_qps / hedged->qps : 0.0;
+    std::printf("%-20s S=%-2zu R=2:  %8.1f q/s  (%.3f ms/shard "
+                "dispatch, hedge rate %.2f, %.2fx the unhedged cost, "
+                "checksum ok)\n\n",
+                "hedging_cost", kHedgedShards, hedged->qps,
+                hedged->fanout_ms_mean, hedged->hedge_rate, hedge_cost);
+    std::fprintf(json,
+                 ",\n    {\"name\": \"sharded_hedging_cost\", "
+                 "\"replicas\": 2, \"shards\": %zu, \"hedged_qps\": %.1f, "
+                 "\"unhedged_qps\": %.1f, \"hedge_cost\": %.3f, "
+                 "\"fanout_ms_mean\": %.4f, \"hedge_rate\": %.3f}",
+                 kHedgedShards, hedged->qps, unhedged_qps, hedge_cost,
+                 hedged->fanout_ms_mean, hedged->hedge_rate);
   }
 
   // approx_frontier: the bounded-recall (1+eps) early stop swept over

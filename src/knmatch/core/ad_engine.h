@@ -38,7 +38,8 @@ struct AdOutput {
   /// delivered pop; the name predates the loser-tree kernel).
   uint64_t heap_pops = 0;
   /// Runs — stretches of consecutive pops from one direction cursor
-  /// (AdKernel::tree_replays); 0 for the reference heap driver.
+  /// (AdKernel::tree_replays); block kernel only, 0 for the band path
+  /// and for RunAdSearchReference.
   uint64_t tree_replays = 0;
   /// Recall accounting; the all-exact default unless the run was
   /// driven under a non-exact ApproxPolicy.
@@ -206,10 +207,18 @@ class AdEngine {
 
 /// Shared answer-set bookkeeping for the AD drivers: routes one pop
 /// into the per-n sets and reports whether the search must continue.
+/// It is itself a sink for AdKernel::Drive, and a QuietBandSink: only a
+/// pop that brings a point to a level whose set is not yet full can
+/// change the sets.
 class AdAnswerBuilder {
  public:
   AdAnswerBuilder(AdOutput* out, size_t n0, size_t n1, size_t k)
-      : out_(out), n0_(n0), n1_(n1), k_(k), terminal_left_(k) {}
+      : out_(out),
+        n0_(n0),
+        n1_(n1),
+        k_(k),
+        terminal_left_(k),
+        open_(static_cast<uint32_t>(n0)) {}
 
   // The pop counter and the terminal set's remaining capacity live in
   // members rather than behind out_: Consume runs once per pop and the
@@ -241,11 +250,33 @@ class AdAnswerBuilder {
     return terminal_left_ != 0;
   }
 
+  /// The sink call of AdKernel::Drive.
+  [[gnu::always_inline]] inline bool operator()(PointId pid, Value dif,
+                                                uint16_t appearances) {
+    return Consume(pid, dif, appearances);
+  }
+
+  /// The lowest level whose set still holds fewer than k points. A
+  /// point reaches level n before n + 1, so the set sizes never rise
+  /// with n: the full levels are [n0, open_level()) and the open ones
+  /// [open_level(), top_level()]. Called once per band.
+  uint32_t open_level() {
+    while (open_ < n1_ && out_->per_n_sets[open_ - n0_].size() >= k_) {
+      ++open_;
+    }
+    return open_;
+  }
+  /// The terminal level n1.
+  uint32_t top_level() const { return static_cast<uint32_t>(n1_); }
+  /// Accounts `n` pops that touched no open level (a quiet band).
+  void SkipPops(uint64_t n) { pops_ += n; }
+
  private:
   AdOutput* out_;
   size_t n0_, n1_, k_;
   size_t terminal_left_;
   uint64_t pops_ = 0;
+  uint32_t open_;
 };
 
 /// Each ascend variant lives out-of-line in its own function: the
@@ -253,43 +284,44 @@ class AdAnswerBuilder {
 /// enough that keeping the pop loops inline in it cost the governed
 /// loop ~4 cycles/pop (bench_governance_overhead); a dedicated function
 /// per sink restores each loop's own inlining budget.
-template <typename Accessor>
+/// `Answers` is AdAnswerBuilder in production; tests pass a wrapper that
+/// tallies how the pops arrived.
+template <typename Accessor, typename Answers>
 [[gnu::noinline, gnu::aligned(64)]] void DriveExactAscend(AdKernel<Accessor>& kernel,
-                                        AdAnswerBuilder& answers) {
-  kernel.Drive([&answers](PointId pid, Value dif, uint16_t a) {
-    return answers.Consume(pid, dif, a);
-  });
+                                        Answers& answers) {
+  kernel.Drive(answers);
 }
 
-template <typename Accessor>
+template <typename Accessor, typename Answers>
 [[gnu::noinline, gnu::aligned(64)]] void DriveGovernedAscend(AdKernel<Accessor>& kernel,
-                                           AdAnswerBuilder& answers,
+                                           Answers& answers,
                                            QueryContext* ctx) {
   // A recheck is due every kGovernanceStride pops: cancellation and
   // the budgets each time, the deadline clock every kDeadlineStrides
-  // rechecks on the band path. Its pops cost ~10-20 ns, and a clock read
+  // strides on the band path. Its pops cost ~10-20 ns, and a clock read
   // every stride cost the governed lane its <2% A/B budget
   // (bench_governance_overhead); the block path, whose pops cost far
-  // more, reads the clock every stride.
-  constexpr uint32_t kClockStrides =
+  // more, reads the clock every stride. A quiet band that passes
+  // several strides is rechecked once, at its end, and counts them all.
+  constexpr uint64_t kClockStrides =
       AdKernel<Accessor>::kBandPath ? kDeadlineStrides : 1;
-  uint32_t strides = 0;
+  uint64_t strides = 0;
   kernel.Drive(
-      [&answers](PointId pid, Value dif, uint16_t a) {
-        return answers.Consume(pid, dif, a);
-      },
-      kGovernanceStride,
-      [&]() -> uint64_t {
+      answers, kGovernanceStride,
+      [&](uint64_t passed) {
         const uint64_t attributes = kernel.attributes_retrieved();
-        bool ok;
-        if (++strides == kClockStrides) {
-          strides = 0;
-          ok = ctx->Recheck(attributes, answers.pops());
-        } else {
-          ok = ctx->RecheckBudgets(attributes, answers.pops());
+        strides += passed;
+        if (strides < kClockStrides) {
+          return ctx->RecheckBudgets(attributes, answers.pops());
         }
-        return ok ? kGovernanceStride : 0;
-      });
+        strides %= kClockStrides;
+        return ctx->Recheck(attributes, answers.pops());
+      },
+      // A quiet band skips the rechecks inside it: only when none of
+      // them could trip on the budgets or a cancellation already set.
+      // Memory columns read no pages, and the attribute count only
+      // grows, so the band-end count decides.
+      [ctx](uint64_t attributes) { return ctx->BudgetsHold(attributes); });
 }
 
 template <typename Accessor>
@@ -338,7 +370,8 @@ template <typename Accessor>
 }
 
 /// Batch driver: algorithms KNMatchAD (n0 == n1) and FKNMatchAD of the
-/// paper, on top of the block-ascending kernel. Runs until the
+/// paper, on top of AdKernel (band ascend over memory and B+-tree
+/// columns, block kernel over paged sorted runs). Runs until the
 /// k-n1-match answer set is complete; by then every k-n-match set for n
 /// in [n0, n1] is complete as well (Sec. 3.2).
 ///
@@ -353,7 +386,8 @@ template <typename Accessor>
 /// the exact sink it always had, so governance costs it nothing. On a
 /// trip the ascend stops, the best-so-far answer sets move into the
 /// context's GovernanceTrip, and the returned AdOutput's sets are
-/// empty; callers surface ctx->trip_status().
+/// empty; callers surface ctx->trip_status(). Tripped or not, a
+/// governed run leaves its final pops and attributes in ctx->trip().
 ///
 /// `approx.epsilon > 0` arms the bounded-recall early stop: once at
 /// least one point has completed n1 appearances, the ascend stops at
@@ -440,13 +474,18 @@ AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
   }
   out.attributes_retrieved = kernel->attributes_retrieved();
   out.tree_replays = kernel->tree_replays();
-  if (governed && ctx->tripped()) {
-    // Unwind cleanly with the partial result: final progress totals
-    // plus the best-so-far sets (exact prefixes of the untripped
-    // answer). The returned output keeps its shape but goes empty —
-    // the caller returns the trip status, not a value.
+  if (governed) {
+    // Final progress totals. The last recheck's snapshot depends on
+    // where the drive rechecked (a quiet band rechecks at its end), the
+    // totals do not.
     ctx->trip().pops = out.heap_pops;
     ctx->trip().attributes_retrieved = out.attributes_retrieved;
+  }
+  if (governed && ctx->tripped()) {
+    // Unwind cleanly with the partial result: the best-so-far sets
+    // (exact prefixes of the untripped answer). The returned output
+    // keeps its shape but goes empty — the caller returns the trip
+    // status, not a value.
     ctx->StorePartialSets(&out.per_n_sets);
     out.per_n_sets.assign(n1 - n0 + 1, {});
   } else if (approx_stop) {
@@ -499,10 +538,12 @@ AdOutput RunAdSearch(Accessor& acc, std::span<const Value> query, size_t n0,
       }
     }
   }
-  if (obs::Enabled()) {
-    obs::Cat().ad_tree_replays->Add(out.tree_replays);
-    obs::Cat().ad_run_length->MergeBuckets(kernel->run_length_buckets(),
-                                           kernel->run_entries());
+  if constexpr (!AdKernel<Accessor>::kBandPath) {
+    if (obs::Enabled()) {
+      obs::Cat().ad_tree_replays->Add(out.tree_replays);
+      obs::Cat().ad_run_length->MergeBuckets(kernel->run_length_buckets(),
+                                             kernel->run_entries());
+    }
   }
   if (obs::QueryTrace* trace = obs::CurrentTrace()) {
     trace->counters().attributes_retrieved += out.attributes_retrieved;

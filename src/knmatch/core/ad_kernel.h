@@ -10,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -70,6 +71,18 @@ concept LeafWalkingAccessor =
       a.ChargeLeafStep(slot);
     };
 
+/// Detected on sinks that can take a whole band without seeing its pops
+/// (AdKernel's quiet bands). A pop is *loud* — it may change the
+/// answer — iff the appearance count it brings its point to lies in
+/// [open_level(), top_level()]; every other pop only counts. SkipPops(n)
+/// accounts n pops the sink did not see.
+template <typename S>
+concept QuietBandSink = requires(S& s, uint64_t n) {
+  { s.open_level() } -> std::convertible_to<uint32_t>;
+  { s.top_level() } -> std::convertible_to<uint32_t>;
+  s.SkipPops(n);
+};
+
 /// The stepping core of the AD (Ascending Difference) algorithm. It has
 /// two drive paths, picked by the accessor type; each serves both
 /// Drive() and Step().
@@ -92,6 +105,16 @@ concept LeafWalkingAccessor =
 /// fixed capacity: a band that would overflow it lowers T, and only a
 /// tie group larger than the buffer is split, at a point where its
 /// emission order already is its pop order (see EmitCursor).
+///
+/// **Quiet bands** (Drive over memory columns with a QuietBandSink).
+/// The answer depends only on the order of the loud pops, those that
+/// bring a point to an open level. Before sorting, Drive walks the band
+/// in emission order, bumping each entry's appearance count and adding
+/// its replacement attribute. A band with no loud pop is then done: it
+/// leaves the same counts, attributes and answer sets in any order, so
+/// it is never sorted and the sink only counts its pops. On the first
+/// loud pop the walk takes its bumps back and the band is sorted and
+/// delivered as above. Step() and tree columns always sort.
 ///
 /// Over B+-tree columns each cursor walks its current leaf's entries in
 /// place and moves to the next non-empty leaf with an uncharged read.
@@ -256,33 +279,46 @@ class AdKernel {
   /// Runs the ascend loop, delivering pops in ascending (difference,
   /// slot) order to `sink(pid, dif, appearances)` until the sink
   /// returns false, the columns exhaust, or the accessor fails (check
-  /// its status()). On the band path the per-entry work is one
-  /// sequential band read, one appearance bump and the sink; on the
-  /// block path, inside a run, it is one buffered read, one difference,
-  /// one appearance bump, and one comparison against the runner-up's
-  /// key.
+  /// its status()). Over memory columns a QuietBandSink sees only the
+  /// pops of bands holding a loud pop (see quiet bands above). A
+  /// quiet band costs one sequential read, one appearance bump and
+  /// one range compare per entry; a delivered one adds the sort and
+  /// the sink. On the block path, inside a run, a pop is one buffered
+  /// read, one difference, one appearance bump, and one comparison
+  /// against the runner-up's key.
   template <typename Sink>
   void Drive(Sink&& sink) {
-    Drive(sink, 0, [] { return uint64_t{0}; });
+    Drive(sink, 0, [](uint64_t) { return true; },
+          [](uint64_t) { return true; });
   }
 
-  /// Drive with an amortized hook — the governance recheck: `on_due()`
-  /// runs once `due` pops have been delivered (after the sink accepted
-  /// the last of them) and returns how many more pops until it is due
-  /// again, 0 to stop the drive. The band path bounds its delivery
-  /// chunks by the count, so its per-pop loop is the ungoverned one;
-  /// the block path counts down in the sink. `due` 0 never calls it.
-  template <typename Sink, typename OnDue>
-  void Drive(Sink&& sink, uint64_t due, OnDue&& on_due) {
+  /// Drive with an amortized hook — the governance recheck. `on_due(m)`
+  /// runs once the pops so far pass one or more multiples of `stride`
+  /// (after the sink accepted the last of them), with `m` the multiples
+  /// passed since its last call, and returns false to stop the drive.
+  /// The band path bounds its delivery chunks by the next multiple, so
+  /// its per-pop loop is the ungoverned one, and m is 1 except after a
+  /// quiet band. The block path counts down in the sink. `stride` 0
+  /// never calls it.
+  ///
+  /// A quiet band is applied whole only if `quiet_ok(attributes)`, the
+  /// attribute count at its end, is true: the hook then promises that no
+  /// recheck inside the band could have stopped the drive
+  /// deterministically. Otherwise the band is sorted and delivered.
+  template <typename Sink, typename OnDue, typename QuietOk>
+  void Drive(Sink&& sink, uint64_t stride, OnDue&& on_due,
+             QuietOk&& quiet_ok) {
     if constexpr (kBandPath) {
-      DriveBand(sink, due, on_due);
-    } else if (due == 0) {
+      DriveBand(sink, stride, on_due, quiet_ok);
+    } else if (stride == 0) {
       DriveBlock(sink);
     } else {
+      uint64_t due = stride;
       DriveBlock([&](PointId pid, Value dif, uint16_t a) {
         if (!sink(pid, dif, a)) return false;
-        if (--due == 0) due = on_due();
-        return due != 0;
+        if (--due != 0) return true;
+        due = stride;
+        return static_cast<bool>(on_due(uint64_t{1}));
       });
     }
   }
@@ -296,7 +332,12 @@ class AdKernel {
   std::optional<Pop> Step() {
     if constexpr (kBandPath) {
       if (AccessorFailed()) return std::nullopt;
-      if (band_pos_ == band_len_ && !NextBand()) return std::nullopt;
+      if (band_pos_ == band_len_) {
+        Value lo, hi;
+        const size_t n = EmitBand(lo, hi);
+        if (n == 0) return std::nullopt;
+        SortBand(n, lo, hi);
+      }
       const AdBandEntry& e = band_out_[band_pos_++];
       if constexpr (kLeafPath) {
         if (e.tag & 2) {
@@ -335,12 +376,12 @@ class AdKernel {
   /// replacement per delivered pop whose cursor held another entry —
   /// never buffered read-ahead or emitted-but-undelivered band entries.
   uint64_t attributes_retrieved() const { return attributes_retrieved_; }
-  /// Runs so far — maximal stretches of consecutive pops from one
-  /// cursor. The block path counts its winner-selection rounds
-  /// (loser-tree replays or rescans; Step counts one per pop); the band
-  /// path counts runs in delivery order (Drive only).
+  /// Block path only: runs so far — stretches of consecutive pops from
+  /// one cursor, one per winner selection (loser-tree replay or rescan;
+  /// Step counts one per pop). The band path has no delivery order for
+  /// its quiet bands, so it records no runs and these stay 0.
   uint64_t tree_replays() const { return tree_replays_; }
-  /// Entries delivered across all runs (Drive only).
+  /// Block path only: entries delivered across all runs (Drive only).
   uint64_t run_entries() const { return run_entries_; }
   /// Run lengths, log-bucketed with obs::Histogram's layout (bucket i
   /// >= 1 holds lengths in [2^(i-1), 2^i)); accumulated locally so the
@@ -410,28 +451,46 @@ class AdKernel {
   /// Buckets up to which the band sort leaves a bucket to the final
   /// insertion pass; larger unsorted buckets are merge-sorted first.
   static constexpr size_t kBandInsertionLimit = 32;
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
   /// A band entry's tag holds its slot above this many flag bits (see
   /// AdBandEntry).
   static constexpr uint32_t kTagShift = kLeafPath ? 2 : 1;
 
   // ---- Band path (DirectColumnAccessor, LeafWalkingAccessor) -----------
 
-  template <typename Sink, typename OnDue>
-  void DriveBand(Sink&& sink, uint64_t due, OnDue&& on_due) {
+  /// True when Drive can apply `Sink`'s quiet bands: memory columns,
+  /// whose reads cost nothing to take back and charge no pages.
+  template <typename Sink>
+  static constexpr bool kQuietBands =
+      DirectColumnAccessor<Accessor> &&
+      QuietBandSink<std::remove_reference_t<Sink>>;
+
+  template <typename Sink, typename OnDue, typename QuietOk>
+  void DriveBand(Sink& sink, uint64_t stride, OnDue& on_due,
+                 QuietOk& quiet_ok) {
     if (AccessorFailed()) return;
-    // Run statistics ride along: a run is a maximal stretch of
-    // consecutive deliveries from one slot, across bands. Most runs are
-    // one entry long and cost nothing beyond the slot compare: only
-    // longer runs are recorded as they close, and the one-entry runs
-    // are what remains of the delivered count at the end.
-    uint32_t run_slot = kNoSlot;
-    uint64_t run_len = 0, long_run_entries = 0, delivered = 0;
-    // Pops left before on_due() runs; a delivery chunk never crosses
-    // it, so the hook runs between chunks.
-    if (due == 0) due = ~uint64_t{0};
+    // Pops left until the next multiple of `stride`; a delivery chunk
+    // never crosses it, so the hook runs between chunks.
+    uint64_t due = stride == 0 ? ~uint64_t{0} : stride;
     for (;;) {
-      if (band_pos_ == band_len_ && !NextBand()) break;
+      if (band_pos_ == band_len_) {
+        Value lo, hi;
+        const size_t n = EmitBand(lo, hi);
+        if (n == 0) break;
+        if constexpr (kQuietBands<Sink>) {
+          if (ApplyQuietBand(sink, n, quiet_ok)) {
+            if (n < due) {
+              due -= n;
+              continue;
+            }
+            // The multiples the band passed are rechecked at its end.
+            const uint64_t past = n - due;
+            due = stride - past % stride;
+            if (!on_due(1 + past / stride)) break;
+            continue;
+          }
+        }
+        SortBand(n, lo, hi);
+      }
       const AdBandEntry* const begin = band_out_ + band_pos_;
       const AdBandEntry* const end =
           begin + std::min<uint64_t>(band_len_ - band_pos_, due);
@@ -456,38 +515,54 @@ class AdKernel {
         // engine reads the replacement — so on_due() after it observes
         // the heap engine's attribute count.
         attributes_retrieved_ += x.tag & 1;
-        const uint16_t a = scratch_->BumpAppearances(x.pid);
-        if (const uint32_t slot = x.tag >> kTagShift; slot != run_slot) {
-          if (run_len > 1) [[unlikely]] {
-            RecordLongRun(run_len, long_run_entries);
-          }
-          run_len = 0;
-          run_slot = slot;
-        }
-        ++run_len;
-        if (!sink(x.pid, x.dif, a)) {
+        if (!sink(x.pid, x.dif, scratch_->BumpAppearances(x.pid))) {
           stop = true;
           break;
         }
       }
       const auto chunk = static_cast<uint64_t>(e - begin);
-      delivered += chunk;
       band_pos_ += chunk;
       if (stop) break;
       due -= chunk;
-      if (due == 0 && (due = on_due()) == 0) break;
+      if (due == 0) {
+        if (!on_due(uint64_t{1})) break;
+        due = stride;
+      }
     }
-    if (run_len > 1) RecordLongRun(run_len, long_run_entries);
-    const uint64_t one_entry_runs = delivered - long_run_entries;
-    run_length_buckets_[1] += one_entry_runs;
-    tree_replays_ += one_entry_runs;
-    run_entries_ += delivered;
   }
 
-  void RecordLongRun(uint64_t length, uint64_t& entries) {
-    ++run_length_buckets_[std::bit_width(length)];
-    ++tree_replays_;
-    entries += length;
+  /// Walks the n emitted entries in emission order, bumping each one's
+  /// appearance count and summing its replacement attributes. With no
+  /// loud pop among them and `quiet_ok` agreeing, the band is applied:
+  /// its attributes are charged, the sink counts its pops, and true is
+  /// returned. Otherwise every bump taken is taken back (a count back at
+  /// 0 reads as unseen) and the band is left for sorted delivery.
+  template <typename Sink, typename QuietOk>
+  bool ApplyQuietBand(Sink& sink, size_t n, QuietOk& quiet_ok) {
+    const AdBandEntry* const band = scratch_->band();
+    // Levels fill in order, so the open ones are one range [open, top]
+    // and the loud test is one unsigned compare.
+    const uint32_t open = sink.open_level();
+    const uint32_t span = static_cast<uint32_t>(sink.top_level()) - open;
+    uint64_t added = 0;
+    size_t bumped = 0;
+    bool loud = false;
+    while (bumped < n) {
+      const AdBandEntry& x = band[bumped++];
+      added += x.tag & 1;
+      if (uint32_t{scratch_->BumpAppearances(x.pid)} - open <= span)
+          [[unlikely]] {
+        loud = true;
+        break;
+      }
+    }
+    if (!loud && quiet_ok(attributes_retrieved_ + added)) {
+      attributes_retrieved_ += added;
+      sink.SkipPops(n);
+      return true;
+    }
+    while (bumped > 0) scratch_->UnbumpAppearances(band[--bumped].pid);
+    return false;
   }
 
   Value WeightOf(size_t dim) const {
@@ -536,7 +611,7 @@ class AdKernel {
   /// kBandProbeDepth out gives its local rate (entries per unit of
   /// difference); the width that would cover kAdBandTarget entries at
   /// the summed rate. 0 when every probe lands on a tie with its front
-  /// (NextBand then emits just the tie group at the lowest front).
+  /// (EmitBand then emits just the tie group at the lowest front).
   ///
   /// Over tree columns the probe stays inside the front's leaf.
   Value ProbeWidth() const {
@@ -573,14 +648,15 @@ class AdKernel {
     return rate > 0 ? static_cast<Value>(kAdBandTarget) / rate : Value{0};
   }
 
-  /// Emits, sorts and stages the next band; false once every cursor is
+  /// Emits the next band into the band buffer in emission order and
+  /// returns its entry count, all in [lo, hi]; 0 once every cursor is
   /// exhausted.
-  bool NextBand() {
-    Value lo = kInfValue;
+  size_t EmitBand(Value& lo, Value& hi) {
+    lo = kInfValue;
     for (uint32_t slot = 0; slot < slots_; ++slot) {
       lo = std::min(lo, cur_dif_[slot]);
     }
-    if (lo == kInfValue) return false;
+    if (lo == kInfValue) return 0;
     if (!(band_width_ > 0)) band_width_ = ProbeWidth();
     // T > lo, so the band holds at least part of the lowest front's tie
     // group.
@@ -589,7 +665,7 @@ class AdKernel {
     if (!(t > lo)) t = tie_only;
     const Value requested = t;
     size_t n = 0;
-    Value hi = lo;
+    hi = lo;
     for (uint32_t slot = 0; slot < slots_; ++slot) {
       bool full;
       if constexpr (kLeafPath) {
@@ -601,9 +677,6 @@ class AdKernel {
       }
       if (full) break;
     }
-    SortBand(n, lo, hi);
-    band_pos_ = 0;
-    band_len_ = n;
     // A full buffer lowered T: steer from the width actually covered
     // (none when the band held only the lowest tie group: probe again).
     if (t != requested) band_width_ = t > tie_only ? t - lo : Value{0};
@@ -611,7 +684,7 @@ class AdKernel {
     band_width_ *= std::clamp(static_cast<Value>(kAdBandTarget) /
                                   static_cast<Value>(n),
                               Value{0.25}, Value{4});
-    return true;
+    return n;
   }
 
   /// Appends every entry of `slot` with difference < t to the band,
@@ -627,7 +700,7 @@ class AdKernel {
   /// drops to just above `lo` instead, and a buffer still full holds
   /// part of one tie group: emission order is its pop order, so the
   /// band ends right there and the next band resumes the group at this
-  /// cursor. Returns true in that case, so NextBand skips the later
+  /// cursor. Returns true in that case, so EmitBand skips the later
   /// slots, which could only add to the group.
   template <bool kUp>
   bool EmitCursor(uint32_t slot, Value lo, Value& t, size_t& n, Value& hi) {
@@ -797,7 +870,7 @@ class AdKernel {
   }
 
   /// Stably sorts the n emitted entries (all in [lo, hi]) by difference
-  /// and points band_out_ at the result. Counting sort on the bucket
+  /// and stages the result, band_out_, for delivery. Counting sort on the bucket
   /// map b = floor(min((dif - lo) * B / (hi - lo), B - 1)): IEEE subtract
   /// and multiply by a positive constant are monotone, so the map is,
   /// and a bucket holds only differences strictly between its
@@ -805,6 +878,8 @@ class AdKernel {
   /// the closing insertion pass (strict comparisons, so stable) orders
   /// each bucket without ever crossing into the next.
   void SortBand(size_t n, Value lo, Value hi) {
+    band_pos_ = 0;
+    band_len_ = n;
     AdBandEntry* in = scratch_->band();
     if (hi == lo) {
       band_out_ = in;  // one tie group: emission order is the order

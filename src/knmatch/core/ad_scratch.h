@@ -306,13 +306,26 @@ class AdScratch {
   /// out-of-line call — whose caller-saved spills cost the governed
   /// A/B lane its <2% budget (bench_governance_overhead). The cold
   /// grow branch lives in GrowAppearances so the hot body stays small.
+  ///
+  /// No slot's stamp is ever ahead of the epoch (a wrap re-zeroes the
+  /// table), so a stale slot holds less than `epoch_ << 16` and a max()
+  /// resets it without a branch. A first sighting is a coin flip,
+  /// and -O3's path splitting turned the equivalent stamp compare into a
+  /// mispredicted branch (the quiet-band walk ran ~45% slower).
   [[gnu::always_inline]] inline uint16_t BumpAppearances(PointId pid) {
     if (pid >= appear_.size()) [[unlikely]] GrowAppearances(pid);
-    uint32_t v = appear_[pid];
-    if ((v >> 16) != epoch_) v = epoch_ << 16;
-    ++v;
+    const uint32_t v = std::max(appear_[pid], epoch_ << 16) + 1;
     appear_[pid] = v;
     return static_cast<uint16_t>(v);
+  }
+
+  /// Takes back one BumpAppearances of `pid` in the current query (the
+  /// quiet-band walk's undo). A count taken back to 0 keeps the current
+  /// stamp and reads as unseen, exactly like a fresh slot.
+  void UnbumpAppearances(PointId pid) {
+    assert(pid < appear_.size() && (appear_[pid] >> 16) == epoch_ &&
+           (appear_[pid] & 0xFFFFu) != 0);
+    --appear_[pid];
   }
 
   /// Sparse pid spaces (live ingest after erases) can carry ids past

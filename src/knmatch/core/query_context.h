@@ -233,6 +233,28 @@ class QueryContext {
     return true;
   }
 
+  /// RecheckBudgets without its side effects: true when that check
+  /// would pass at `attributes` right now. Nothing is latched, so an
+  /// engine can ask it about a stretch of work before deciding to skip
+  /// the rechecks inside it.
+  bool BudgetsHold(uint64_t attributes) const {
+    if (tripped()) return false;
+    if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+      return false;
+    }
+    if (budgets_.max_attributes != 0 &&
+        attributes > budgets_.max_attributes) {
+      return false;
+    }
+    if (budgets_.max_pages != 0) {
+      const uint64_t pages = pages_armed_
+                                 ? DiskSimulator::thread_reads() - page_base_
+                                 : trip_.pages_read;
+      if (pages > budgets_.max_pages) return false;
+    }
+    return true;
+  }
+
   /// True once a check failed; latched until Rearm().
   bool tripped() const { return !trip_status_.ok(); }
   /// The typed trip reason; OK while untripped.

@@ -9,10 +9,13 @@
 #include "knmatch/core/ad_kernel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -588,10 +591,10 @@ TEST(AdKernelBandTest, BlockPathStepMatchesHeapEngineToExhaustion) {
   }
 }
 
-TEST(AdKernelBandTest, RunEntriesSumToHeapPops) {
-  // On the band path a run is a maximal stretch of consecutive
-  // deliveries from one slot: the runs must partition the delivered
-  // pops, and the exported histogram must carry exactly those runs.
+TEST(AdKernelBandTest, BandPathRecordsNoRuns) {
+  // Quiet bands have no delivery order, so the band path keeps no run
+  // statistics: its drives leave the kernel's run counters and the
+  // exported run metrics untouched, whatever the sink.
   const Dataset db = datagen::MakeTextureLike(9, 8000);
   const SortedColumns columns(db);
   MemoryColumnAccessor acc(columns);
@@ -603,12 +606,53 @@ TEST(AdKernelBandTest, RunEntriesSumToHeapPops) {
     out.per_n_sets.resize(1);
     AdKernel<MemoryColumnAccessor> kernel(acc, q, {}, &scratch);
     AdAnswerBuilder answers(&out, 8, 8, 10);
-    kernel.Drive([&answers](PointId pid, Value dif, uint16_t a) {
-      return answers.Consume(pid, dif, a);
-    });
+    if (qi % 2 == 0) {
+      kernel.Drive(answers);
+    } else {
+      kernel.Drive([&answers](PointId pid, Value dif, uint16_t a) {
+        return answers.Consume(pid, dif, a);
+      });
+    }
     answers.Flush();
     ASSERT_GT(out.heap_pops, 2 * internal::kAdBandTarget)
         << "the query must span several bands";
+    EXPECT_EQ(kernel.tree_replays(), 0u) << "query " << qi;
+    EXPECT_EQ(kernel.run_entries(), 0u) << "query " << qi;
+    for (const uint64_t bucket : kernel.run_length_buckets()) {
+      EXPECT_EQ(bucket, 0u) << "query " << qi;
+    }
+  }
+
+  if (!obs::Enabled()) return;
+  const std::vector<Value> q = HeldOutQuery(db, rng);
+  const obs::HistogramSnapshot before = obs::Cat().ad_run_length->Snapshot();
+  const uint64_t replays_before = obs::Cat().ad_tree_replays->Value();
+  const AdOutput out = RunAdSearch(acc, q, 8, 8, 10, {}, &scratch);
+  const obs::HistogramSnapshot after = obs::Cat().ad_run_length->Snapshot();
+  EXPECT_GT(out.heap_pops, 0u);
+  EXPECT_EQ(out.tree_replays, 0u);
+  EXPECT_EQ(after.count, before.count);
+  EXPECT_EQ(after.sum_raw, before.sum_raw);
+  EXPECT_EQ(obs::Cat().ad_tree_replays->Value(), replays_before);
+}
+
+TEST(AdKernelBandTest, BlockPathPartitionsPopsIntoRuns) {
+  // The block kernel still counts runs: one per winner selection, and
+  // the runs partition the delivered pops. The exported histogram must
+  // carry exactly those runs.
+  const Dataset db = datagen::MakeTextureLike(9, 8000);
+  const SortedColumns columns(db);
+  BlockMemoryAccessor acc(columns);
+  AdScratch scratch;
+  Rng rng(66);
+  for (int qi = 0; qi < 10; ++qi) {
+    const std::vector<Value> q = HeldOutQuery(db, rng);
+    AdOutput out;
+    out.per_n_sets.resize(1);
+    AdKernel<BlockMemoryAccessor> kernel(acc, q, {}, &scratch);
+    AdAnswerBuilder answers(&out, 8, 8, 10);
+    kernel.Drive(answers);
+    answers.Flush();
     EXPECT_EQ(kernel.run_entries(), out.heap_pops) << "query " << qi;
     // Bucket i >= 1 holds runs of [2^(i-1), 2^i) pops, so the buckets
     // bound the pops they partition from both sides.
@@ -636,6 +680,263 @@ TEST(AdKernelBandTest, RunEntriesSumToHeapPops) {
   EXPECT_EQ(after.count - before.count, out.tree_replays);
   EXPECT_EQ(obs::Cat().ad_tree_replays->Value() - replays_before,
             out.tree_replays);
+}
+
+// ---------------------------------------------------------------------------
+// Quiet bands: bands without a loud pop, applied in emission order
+
+/// AdAnswerBuilder behind a tally of how its pops arrived: delivered one
+/// by one, or counted whole in quiet bands. Lets a test require that
+/// both kinds of band ran.
+class TallyingAnswers {
+ public:
+  explicit TallyingAnswers(AdAnswerBuilder* answers) : answers_(answers) {}
+
+  bool operator()(PointId pid, Value dif, uint16_t a) {
+    ++delivered;
+    return answers_->Consume(pid, dif, a);
+  }
+  uint32_t open_level() { return answers_->open_level(); }
+  uint32_t top_level() const { return answers_->top_level(); }
+  void SkipPops(uint64_t n) {
+    skipped += n;
+    answers_->SkipPops(n);
+  }
+  uint64_t pops() const { return answers_->pops(); }
+
+  uint64_t delivered = 0;
+  uint64_t skipped = 0;
+
+ private:
+  AdAnswerBuilder* answers_;
+};
+
+static_assert(internal::QuietBandSink<AdAnswerBuilder>);
+static_assert(internal::QuietBandSink<TallyingAnswers>);
+
+/// Every point's appearance count must agree after the two runs: a
+/// quiet band leaves exactly the heap engine's counts, and a loud one
+/// takes back every bump its walk made.
+void ExpectSameAppearances(const AdScratch& got, const AdScratch& want,
+                           size_t points, const char* what, size_t qi) {
+  for (PointId pid = 0; pid < points; ++pid) {
+    if (got.Appearances(pid) != want.Appearances(pid)) {
+      ADD_FAILURE() << what << " query " << qi << " pid " << pid
+                    << ": appearances " << got.Appearances(pid) << " vs "
+                    << want.Appearances(pid);
+      return;
+    }
+  }
+}
+
+/// Pops the quiet drives delivered and skipped across a sweep.
+struct QuietTally {
+  uint64_t delivered = 0;
+  uint64_t skipped = 0;
+};
+
+/// One query through the production ungoverned drive with a tallying
+/// sink, held to the reference heap engine: answer sets, attributes,
+/// pops, and every appearance count.
+void ExpectQuietDriveMatches(MemoryColumnAccessor& acc, size_t points,
+                             std::span<const Value> q, size_t n0, size_t n1,
+                             size_t k, std::span<const Value> weights,
+                             AdScratch& quiet_scratch,
+                             AdScratch& reference_scratch, QuietTally& tally,
+                             const char* what, size_t qi) {
+  AdOutput out;
+  out.per_n_sets.resize(n1 - n0 + 1);
+  AdKernel<MemoryColumnAccessor> kernel(acc, q, weights, &quiet_scratch);
+  AdAnswerBuilder answers(&out, n0, n1, k);
+  TallyingAnswers sink(&answers);
+  internal::DriveExactAscend(kernel, sink);
+  answers.Flush();
+  out.attributes_retrieved = kernel.attributes_retrieved();
+  tally.delivered += sink.delivered;
+  tally.skipped += sink.skipped;
+  EXPECT_EQ(sink.delivered + sink.skipped, out.heap_pops)
+      << what << " query " << qi;
+  const AdOutput reference = RunAdSearchReference(acc, q, n0, n1, k, weights,
+                                                  &reference_scratch);
+  ExpectSameOutput(out, reference, what, qi);
+  ExpectSameAppearances(quiet_scratch, reference_scratch, points, what, qi);
+}
+
+/// Held-out queries (a quarter moved out of range) alternating exact
+/// (n0 == n1) and frequent (n0 < n1) k-n-match, with weights and k up
+/// to exhaustion; both band kinds must have run.
+void QuietSweep(const Dataset& db, size_t queries, uint64_t seed,
+                const char* what) {
+  const SortedColumns columns(db);
+  MemoryColumnAccessor acc(columns);
+  AdScratch quiet_scratch;
+  AdScratch reference_scratch;
+  QuietTally tally;
+  Rng rng(seed);
+  const size_t d = db.dims();
+  for (size_t qi = 0; qi < queries; ++qi) {
+    std::vector<Value> q = HeldOutQuery(db, rng);
+    if (rng.Bernoulli(0.25)) {
+      for (Value& v : q) v = rng.Uniform(-0.2, 1.2);
+    }
+    size_t n0, n1;
+    if (qi % 2 == 0) {
+      n0 = n1 = 1 + rng.UniformInt(d);
+    } else {
+      n0 = 1 + rng.UniformInt(d - 1);
+      n1 = n0 + 1 + rng.UniformInt(d - n0);
+    }
+    const size_t k = rng.Bernoulli(0.15) ? 1 + rng.UniformInt(db.size())
+                                         : 1 + rng.UniformInt(20);
+    std::vector<Value> weights;
+    if (rng.Bernoulli(0.3)) {
+      weights.resize(d);
+      for (Value& w : weights) w = 0.25 + rng.Uniform01();
+    }
+    ExpectQuietDriveMatches(acc, db.size(), q, n0, n1, k, weights,
+                            quiet_scratch, reference_scratch, tally, what,
+                            qi);
+  }
+  EXPECT_GT(tally.skipped, 0u) << what << ": no band was quiet";
+  EXPECT_GT(tally.delivered, 0u) << what << ": no band was loud";
+}
+
+TEST(AdKernelQuietTest, TextureHeldOutMatchesReference) {
+  QuietSweep(datagen::MakeTextureLike(9, 20000), 40, 71, "texture");
+}
+
+TEST(AdKernelQuietTest, QuantizedTextureMatchesReference) {
+  // Eight levels per dimension: bands are single tie groups, many of
+  // them split across bands at a full buffer.
+  QuietSweep(Quantize(datagen::MakeTextureLike(9, 20000), 8.0), 40, 72,
+             "quantized texture");
+}
+
+TEST(AdKernelQuietTest, FullBandsMatchReference) {
+  // Gap-then-cluster columns: full-buffer bands with a lowered
+  // threshold, and split tie groups, taken quiet or loud.
+  for (const bool tied : {false, true}) {
+    const Dataset db =
+        GapThenCluster(3 * internal::kAdBandCapacity, tied, tied ? 74 : 73);
+    const SortedColumns columns(db);
+    MemoryColumnAccessor acc(columns);
+    AdScratch quiet_scratch;
+    AdScratch reference_scratch;
+    QuietTally tally;
+    Rng rng(75);
+    const char* what = tied ? "tied cluster" : "dense cluster";
+    for (size_t qi = 0; qi < 16; ++qi) {
+      std::vector<Value> q(db.dims());
+      for (Value& v : q) {
+        v = qi % 4 == 0 ? 0.0 : qi % 4 == 3 ? 0.9 : rng.Uniform(0.0, 0.6);
+      }
+      std::vector<Value> weights;
+      if (qi % 2 == 1) weights = {1.0, 0.5, 1.0};
+      const size_t n0 = qi % 3 == 0 ? 1 : 2;
+      const size_t n1 = qi % 2 == 0 ? n0 : db.dims();
+      const size_t k = qi < 8 ? 10 : db.size();
+      ExpectQuietDriveMatches(acc, db.size(), q, n0, n1, k, weights,
+                              quiet_scratch, reference_scratch, tally, what,
+                              qi);
+    }
+    EXPECT_GT(tally.skipped, 0u) << what;
+    EXPECT_GT(tally.delivered, 0u) << what;
+  }
+}
+
+TEST(AdKernelQuietTest, GovernedTripsMatchBlockPath) {
+  // The governed drive takes quiet bands only where no recheck inside
+  // them could trip deterministically, so a tight attribute budget and
+  // a cancellation set before the query trip on the same pop as on the
+  // block path (which has no quiet bands), with the same progress,
+  // partial sets and appearance counts. A tallying drive of the same
+  // query shows the governed drive does go quiet under a budget, and
+  // never under a pre-set cancellation.
+  const Dataset db = datagen::MakeTextureLike(9, 8000);
+  const SortedColumns columns(db);
+  MemoryColumnAccessor band_acc(columns);
+  BlockMemoryAccessor block_acc(columns);
+  AdScratch band_scratch;
+  AdScratch block_scratch;
+  AdScratch tally_scratch;
+  Rng rng(76);
+  const size_t d = db.dims();
+  size_t budget_trips = 0, cancel_trips = 0;
+  uint64_t budget_skipped = 0, cancel_skipped = 0;
+  for (size_t qi = 0; qi < 90; ++qi) {
+    const std::vector<Value> q = HeldOutQuery(db, rng);
+    size_t n0, n1;
+    if (qi % 2 == 0) {
+      n0 = n1 = 2 + rng.UniformInt(d - 1);
+    } else {
+      n0 = 1 + rng.UniformInt(d - 1);
+      n1 = n0 + 1 + rng.UniformInt(d - n0);
+    }
+    const size_t k = 1 + rng.UniformInt(30);
+    // 0: tight attribute budget; 1: cancelled before the query; 2: a
+    // budget the query never reaches.
+    const int mode = static_cast<int>(qi % 3);
+    const uint64_t budget = mode == 0 ? 500 + rng.UniformInt(30000)
+                                      : uint64_t{1} << 40;
+    auto cancel = std::make_shared<std::atomic<bool>>(true);
+    QueryContext band_ctx, block_ctx, tally_ctx;
+    for (QueryContext* ctx : {&band_ctx, &block_ctx, &tally_ctx}) {
+      if (mode == 1) {
+        ctx->set_cancel(cancel);
+      } else {
+        ctx->budgets().max_attributes = budget;
+      }
+    }
+    const AdOutput band =
+        RunAdSearch(band_acc, q, n0, n1, k, {}, &band_scratch, &band_ctx);
+    const AdOutput block =
+        RunAdSearch(block_acc, q, n0, n1, k, {}, &block_scratch, &block_ctx);
+    ExpectSameOutput(band, block, "governed band vs block", qi);
+    ASSERT_EQ(band_ctx.tripped(), block_ctx.tripped()) << "query " << qi;
+    EXPECT_EQ(band_ctx.trip_status().code(), block_ctx.trip_status().code())
+        << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().pops, block_ctx.trip().pops) << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().attributes_retrieved,
+              block_ctx.trip().attributes_retrieved)
+        << "query " << qi;
+    EXPECT_EQ(band_ctx.trip().partial_per_n_sets,
+              block_ctx.trip().partial_per_n_sets)
+        << "query " << qi;
+    ExpectSameAppearances(band_scratch, block_scratch, db.size(),
+                          "governed band vs block", qi);
+    if (mode == 1) {
+      EXPECT_TRUE(band_ctx.tripped()) << "query " << qi;
+      EXPECT_EQ(band_ctx.trip().pops, internal::kGovernanceStride)
+          << "query " << qi;
+    }
+    if (mode == 2) {
+      EXPECT_FALSE(band_ctx.tripped()) << "query " << qi;
+    }
+
+    AdOutput tally_out;
+    tally_out.per_n_sets.resize(n1 - n0 + 1);
+    AdKernel<MemoryColumnAccessor> kernel(band_acc, q, {}, &tally_scratch);
+    AdAnswerBuilder answers(&tally_out, n0, n1, k);
+    TallyingAnswers sink(&answers);
+    internal::DriveGovernedAscend(kernel, sink, &tally_ctx);
+    EXPECT_EQ(tally_ctx.tripped(), band_ctx.tripped()) << "query " << qi;
+    EXPECT_EQ(sink.pops(), band_ctx.trip().pops) << "query " << qi;
+    EXPECT_EQ(kernel.attributes_retrieved(),
+              band_ctx.trip().attributes_retrieved)
+        << "query " << qi;
+    if (mode == 1) {
+      cancel_skipped += sink.skipped;
+      cancel_trips += band_ctx.tripped();
+    } else {
+      budget_skipped += sink.skipped;
+      budget_trips += band_ctx.tripped();
+    }
+  }
+  // Both trip kinds must have fired, or the comparison is vacuous.
+  EXPECT_GT(budget_trips, 10u);
+  EXPECT_EQ(cancel_trips, 30u);
+  EXPECT_GT(budget_skipped, 0u) << "no governed band was quiet";
+  EXPECT_EQ(cancel_skipped, 0u) << "a band went quiet past a cancellation";
 }
 
 // ---------------------------------------------------------------------------
